@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bufio"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -70,20 +73,107 @@ func cpuSeconds() (float64, error) {
 		float64(ru.Stime.Sec) + float64(ru.Stime.Usec)/1e6, nil
 }
 
+// seqRange is the half-open broadcast-sequence range [lo, hi).
+type seqRange struct{ lo, hi int64 }
+
+func overlap(a, b seqRange) int64 {
+	return max(0, min(a.hi, b.hi)-max(a.lo, b.lo))
+}
+
+// windowDeliveries is the delivery accounting behind delivery_ratio.
+// Frames are numbered by the channel's broadcast sequence (the n-th
+// frame the caster published has sequence n-1). A subscriber that
+// attached at sequence first and has advanced to next — every frame
+// of [first, next) handed to it except the skipped ranges — holds the
+// frames of the window [lo, hi) that lie in [first, next) outside any
+// skip. It is owed the frames of [max(lo, first), hi).
+//
+// Only frames broadcast inside the window count on either side, so
+// got ≤ want by construction: a frame broadcast before the window and
+// written inside it — the backlog a lagging subscriber drains after
+// the window opens — is not a delivery of the window.
+func windowDeliveries(first, next int64, skips []seqRange, lo, hi int64) (got, want int64) {
+	start := max(lo, first)
+	if hi <= start {
+		return 0, 0
+	}
+	want = hi - start
+	got = overlap(seqRange{first, next}, seqRange{start, hi})
+	for _, sk := range skips {
+		got -= overlap(sk, seqRange{start, hi})
+	}
+	return max(got, 0), want
+}
+
+// frameTally is one subscriber's delivery record: the broadcast
+// sequence it attached at, how far it has advanced since (frames
+// received plus frames a MsgResync reported skipped), and the skipped
+// ranges.
+//
+// first is read from the channel's broadcast counter right after
+// Attach returns. The counter is bumped before a frame is handed to
+// subscribers, so first is never below the sequence the subscriber
+// started from; it is above it only by the frames published during
+// the Attach call.
+type frameTally struct {
+	first     int64 // set by the attaching goroutine before the window
+	advanced  atomic.Int64
+	malformed atomic.Int64
+
+	mu    sync.Mutex
+	skips []seqRange // lapped ranges, relative to first
+}
+
+// observe records one received frame given its type byte and body.
+func (t *frameTally) observe(typ wire.MsgType, body []byte) {
+	if typ != wire.MsgResync {
+		t.advanced.Add(1)
+		return
+	}
+	var rs wire.Resync
+	if err := json.Unmarshal(body, &rs); err != nil {
+		t.malformed.Add(1)
+		return
+	}
+	n := t.advanced.Load()
+	t.mu.Lock()
+	t.skips = append(t.skips, seqRange{n, n + int64(rs.Skipped)})
+	t.mu.Unlock()
+	t.advanced.Add(int64(rs.Skipped))
+}
+
+// window reports how many frames of the broadcast-sequence window
+// [lo, hi) the subscriber received (got) and was owed (want).
+func (t *frameTally) window(lo, hi int64) (got, want int64) {
+	t.mu.Lock()
+	skips := make([]seqRange, len(t.skips))
+	for i, sk := range t.skips {
+		skips[i] = seqRange{t.first + sk.lo, t.first + sk.hi}
+	}
+	t.mu.Unlock()
+	return windowDeliveries(t.first, t.first+t.advanced.Load(), skips, lo, hi)
+}
+
 // benchSink is an in-process net.Conn that swallows writes: it drives
 // the full subscriber write path (ring claim, batching, accounting)
 // without a kernel socket, which is what lets one process host 100k
-// subscribers under a 20k descriptor limit.
+// subscribers under a 20k descriptor limit. The vectored write falls
+// back to one Write per buffer on a non-socket conn and every buffer
+// is one wire frame, so a Write is a frame.
 type benchSink struct {
+	frameTally
 	closed atomic.Bool
-	bytes  atomic.Int64
 }
 
 func (s *benchSink) Write(p []byte) (int, error) {
 	if s.closed.Load() {
 		return 0, net.ErrClosed
 	}
-	s.bytes.Add(int64(len(p)))
+	if len(p) < 5 || int(binary.BigEndian.Uint32(p[:4])) != len(p)-4 {
+		s.malformed.Add(1)
+		return len(p), nil
+	}
+	s.observe(wire.MsgType(p[4]), p[5:])
 	return len(p), nil
 }
 
@@ -94,61 +184,55 @@ func (s *benchSink) Close() error {
 	return nil
 }
 
-func (s *benchSink) LocalAddr() net.Addr                { return sinkAddr{} }
-func (s *benchSink) RemoteAddr() net.Addr               { return sinkAddr{} }
-func (s *benchSink) SetDeadline(time.Time) error        { return nil }
-func (s *benchSink) SetReadDeadline(time.Time) error    { return nil }
-func (s *benchSink) SetWriteDeadline(time.Time) error   { return nil }
+func (s *benchSink) LocalAddr() net.Addr              { return sinkAddr{} }
+func (s *benchSink) RemoteAddr() net.Addr             { return sinkAddr{} }
+func (s *benchSink) SetDeadline(time.Time) error      { return nil }
+func (s *benchSink) SetReadDeadline(time.Time) error  { return nil }
+func (s *benchSink) SetWriteDeadline(time.Time) error { return nil }
 
 type sinkAddr struct{}
 
 func (sinkAddr) Network() string { return "sink" }
 func (sinkAddr) String() string  { return "sink" }
 
-// drainSubscriber opens a raw protocol connection, subscribes to
-// channel 0 and drains the broadcast into io.Discard from a goroutine.
-// Unlike a full netcast.Client it spends almost nothing per frame, so
-// the cell's CPU measures the server's fan-out cost, not JSON parsing.
-func drainSubscriber(addr string) (net.Conn, error) {
-	// Under a hot broadcast near one core the server's handshake
-	// goroutines are scheduled rarely; retry the occasional starved-out
-	// handshake instead of failing the whole cell.
-	var err error
-	for attempt := 0; attempt < 3; attempt++ {
-		var conn net.Conn
-		if conn, err = dialDrain(addr); err == nil {
-			return conn, nil
-		}
-	}
-	return nil, err
+// tcpDrain is a subscriber over a real loopback socket pair: the
+// server end is attached with Server.Attach, and a goroutine drains
+// the client end, walking the frame headers to tally frames and
+// skipping the bodies. It spends almost nothing per frame, so the
+// cell's CPU measures the server's fan-out cost, not client decoding.
+type tcpDrain struct {
+	frameTally
+	conn net.Conn
 }
 
-func dialDrain(addr string) (net.Conn, error) {
-	conn, err := net.DialTimeout("tcp", addr, 30*time.Second)
-	if err != nil {
-		return nil, err
+// drain reads frames until the connection closes. The error that ends
+// it is the bench closing the connection, not a failure.
+func (d *tcpDrain) drain() {
+	r := bufio.NewReaderSize(d.conn, 64<<10)
+	var hdr [5]byte
+	for {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return
+		}
+		n := int(binary.BigEndian.Uint32(hdr[:4])) - 1
+		if n < 0 || n >= wire.MaxFrameSize {
+			d.malformed.Add(1)
+			return
+		}
+		typ := wire.MsgType(hdr[4])
+		if typ != wire.MsgResync {
+			if _, err := r.Discard(n); err != nil {
+				return
+			}
+			d.observe(typ, nil)
+			continue
+		}
+		body := make([]byte, n)
+		if _, err := io.ReadFull(r, body); err != nil {
+			return
+		}
+		d.observe(typ, body)
 	}
-	if err := conn.SetDeadline(time.Now().Add(30 * time.Second)); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if _, err := wire.ReadFrame(conn); err != nil { // hello
-		conn.Close()
-		return nil, err
-	}
-	if err := wire.WriteJSON(conn, wire.MsgSubscribe, wire.Subscribe{Channel: 0}); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if err := conn.SetDeadline(time.Time{}); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	go func() {
-		//diverselint:ignore errdrop the drain ends when the bench closes the connection; the error is the signal, not a failure
-		_, _ = io.Copy(io.Discard, conn)
-	}()
-	return conn, nil
 }
 
 // fanoutCell is one cell's measured outcome.
@@ -156,17 +240,21 @@ type fanoutCell struct {
 	subscribers    int
 	cores          float64
 	subsPerCore    float64
-	deliveries     int64
+	deliveries     int64 // frames written during the window (server count)
 	broadcastDelta int64
 	backpressure   int64 // resyncs + lag drops + queue drops during the window
 	traceStorm     int   // resync/queue-drop events visible in the trace ring
 	parityFailures int64
 	receptions     int64
-	deliveryRatio  float64
+	malformed      int64
+	// deliveryRatio is the window accounting of windowDeliveries over
+	// the drains and sinks: frames of the window received ÷ frames of
+	// the window owed. The verifiers are checked by payload parity.
+	deliveryRatio float64
 }
 
 // runFanoutCell starts a server in the given mode, attaches tcpSubs
-// raw TCP drains, sinkSubs in-process sinks and a few verifying
+// loopback TCP drains, sinkSubs in-process sinks and a few verifying
 // clients, lets the broadcast settle, then measures process CPU and
 // metric deltas over the window.
 func runFanoutCell(rep *report, name string, cfg netcast.ServerConfig, tcpSubs, sinkSubs, verifiers int, window time.Duration) (*fanoutCell, error) {
@@ -191,45 +279,60 @@ func runFanoutCell(rep *report, name string, cfg netcast.ServerConfig, tcpSubs, 
 		}
 	}()
 
-	// TCP drains, dialed with bounded concurrency.
+	bcastCounter := func() int64 {
+		return reg.Snapshot().Counter(`netcast_frames_broadcast_total{channel="0"}`)
+	}
+	var tallies []*frameTally
+	var dg sync.WaitGroup // drain goroutines, joined after teardown
+
+	// TCP drains: socket pairs through a bench-owned listener, the
+	// server end attached directly so the drain's first sequence can be
+	// read right after Attach. Every pair connects before the first
+	// attach, while no subscriber loads the scheduler.
 	stage := time.Now()
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, 32)
-	errCh := make(chan error, 1)
-	for i := 0; i < tcpSubs; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			c, err := drainSubscriber(addr)
-			if err != nil {
-				select {
-				case errCh <- err:
-				default:
-				}
-				return
-			}
-			connMu.Lock()
-			conns = append(conns, c)
-			connMu.Unlock()
-		}()
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		return nil, fmt.Errorf("%s: connecting drains: %w", name, err)
-	default:
-	}
 	if tcpSubs > 0 {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, err
+		}
+		defer ln.Close()
+		drains := make([]*tcpDrain, tcpSubs)
+		servers := make([]net.Conn, tcpSubs)
+		for i := range drains {
+			client, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				return nil, fmt.Errorf("%s: dialing drain %d: %w", name, i, err)
+			}
+			conns = append(conns, client)
+			if servers[i], err = ln.Accept(); err != nil {
+				return nil, fmt.Errorf("%s: accepting drain %d: %w", name, i, err)
+			}
+			conns = append(conns, servers[i])
+			drains[i] = &tcpDrain{conn: client}
+		}
+		for i, d := range drains {
+			if err := srv.Attach(servers[i], 0); err != nil {
+				return nil, fmt.Errorf("%s: attaching drain %d: %w", name, i, err)
+			}
+			d.first = bcastCounter()
+			tallies = append(tallies, &d.frameTally)
+			dg.Add(1)
+			go func() {
+				defer dg.Done()
+				d.drain()
+			}()
+		}
 		fmt.Fprintf(os.Stderr, "%s: %d drains connected in %.1fs\n", name, tcpSubs, time.Since(stage).Seconds())
 	}
 
 	stage = time.Now()
 	for i := 0; i < sinkSubs; i++ {
-		if err := srv.Attach(&benchSink{}, 0); err != nil {
+		sk := &benchSink{}
+		if err := srv.Attach(sk, 0); err != nil {
 			return nil, fmt.Errorf("%s: attaching sink %d: %w", name, i, err)
 		}
+		sk.first = bcastCounter()
+		tallies = append(tallies, &sk.frameTally)
 	}
 	if sinkSubs > 0 {
 		fmt.Fprintf(os.Stderr, "%s: %d sinks attached in %.1fs\n", name, sinkSubs, time.Since(stage).Seconds())
@@ -295,6 +398,18 @@ func runFanoutCell(rep *report, name string, cfg netcast.ServerConfig, tcpSubs, 
 	}
 	elapsed := time.Since(t0)
 	sent1, bcast1, bp1 := counters()
+	// Grace period: frames of the window still in flight when it closed
+	// reach their subscribers before the tallies are read. One frame's
+	// fan-out to 100k sinks takes a few hundred milliseconds on two
+	// CPUs, so the grace is a full second.
+	time.Sleep(time.Second)
+	var got, want, malformed int64
+	for _, t := range tallies {
+		g, w := t.window(bcast0, bcast1)
+		got += g
+		want += w
+		malformed += t.malformed.Load()
+	}
 	close(stop)
 	// Tear down concurrently: a sequential loop would wait out each
 	// conn's starved drain goroutine in turn, serializing thousands of
@@ -312,6 +427,7 @@ func runFanoutCell(rep *report, name string, cfg netcast.ServerConfig, tcpSubs, 
 	connMu.Unlock()
 	cg.Wait()
 	vg.Wait()
+	dg.Wait()
 
 	cell := &fanoutCell{
 		subscribers:    tcpSubs + sinkSubs + verifiers,
@@ -321,13 +437,13 @@ func runFanoutCell(rep *report, name string, cfg netcast.ServerConfig, tcpSubs, 
 		backpressure:   bp1 - bp0,
 		parityFailures: parityFailures.Load(),
 		receptions:     receptions.Load(),
+		malformed:      malformed,
 	}
 	if cell.cores > 0 {
 		cell.subsPerCore = float64(cell.subscribers) / cell.cores
 	}
-	if cell.broadcastDelta > 0 && cell.subscribers > 0 {
-		cell.deliveryRatio = float64(cell.deliveries) /
-			(float64(cell.broadcastDelta) * float64(cell.subscribers))
+	if want > 0 {
+		cell.deliveryRatio = float64(got) / float64(want)
 	}
 	tsnap := tr.Snapshot()
 	cell.traceStorm = len(tsnap.Named("netcast_resync")) + len(tsnap.Named("netcast_queue_drop"))
@@ -337,16 +453,17 @@ func runFanoutCell(rep *report, name string, cfg netcast.ServerConfig, tcpSubs, 
 		nsPerDelivery = (cpu1 - cpu0) * 1e9 / float64(cell.deliveries)
 	}
 	rep.recordCustom(name, int(cell.deliveries), nsPerDelivery, map[string]float64{
-		"subscribers":          float64(cell.subscribers),
-		"cores":                cell.cores,
-		"subs_per_core":        cell.subsPerCore,
-		"deliveries_per_sec":   float64(cell.deliveries) / elapsed.Seconds(),
-		"frames_per_sec":       float64(cell.broadcastDelta) / elapsed.Seconds(),
-		"delivery_ratio":       cell.deliveryRatio,
-		"backpressure_events":  float64(cell.backpressure),
-		"trace_storm_events":   float64(cell.traceStorm),
-		"parity_failures":      float64(cell.parityFailures),
-		"verified_receptions":  float64(cell.receptions),
+		"subscribers":         float64(cell.subscribers),
+		"cores":               cell.cores,
+		"subs_per_core":       cell.subsPerCore,
+		"deliveries_per_sec":  float64(cell.deliveries) / elapsed.Seconds(),
+		"frames_per_sec":      float64(cell.broadcastDelta) / elapsed.Seconds(),
+		"delivery_ratio":      cell.deliveryRatio,
+		"backpressure_events": float64(cell.backpressure),
+		"trace_storm_events":  float64(cell.traceStorm),
+		"parity_failures":     float64(cell.parityFailures),
+		"malformed_frames":    float64(cell.malformed),
+		"verified_receptions": float64(cell.receptions),
 	})
 	return cell, nil
 }
@@ -432,6 +549,8 @@ func netcastFanout(rep *report, quick bool) error {
 	rep.Derived["netcast_fanout_ring_delivery_ratio"] = rc.deliveryRatio
 	rep.Derived["netcast_fanout_parity_failures"] =
 		float64(qc.parityFailures + rc.parityFailures + big.parityFailures)
+	rep.Derived["netcast_fanout_malformed_frames"] =
+		float64(qc.malformed + rc.malformed + big.malformed)
 	rep.Derived["netcast_fanout_tcp_backpressure_events"] =
 		float64(qc.backpressure + rc.backpressure)
 	rep.Derived["netcast_fanout_100k_backpressure_events"] =

@@ -9,19 +9,20 @@
 //   - CDSScale: the production-scale CDS grid comparing the naive
 //     full rescan against the incremental candidate table (N up to
 //     10k, K up to 64), plus the derived naive/incremental speedups.
-//     Full runs add the large-N cells: N=10^5/K=256 comparing the
-//     incremental engine against StrategyParallel (sharded and
-//     batched), and an N=10^6/K=1024 parallel cell pinned to one
-//     iteration. Every CDS result carries the engine's strategy,
-//     worker count, batch size and the process GOMAXPROCS, so a
-//     single-core run is attributable as such: the sharded sweeps
-//     can only fold wall clock when GOMAXPROCS grants real cores.
-//   - CDSParallel: worker-scaling cells for StrategyParallel plus the
-//     bit-identity gate — the Workers=1 and Workers=8 refinements must
-//     produce identical move traces down to the float bits, and the
-//     batched mode must be worker-count-invariant the same way. A
-//     mismatch fails the run (nonzero exit), so CI enforces the
-//     determinism contract, not just the tests.
+//     Full runs add the large-N cells: N=10^5/K=256 comparing strict
+//     descent against the batched mode, and an N=10^6/K=1024 batched
+//     cell pinned to one iteration. Every CDS result carries the
+//     engine's strategy, shard width (workers, the GOMAXPROCS it ran
+//     under) and batch size, so a single-core run is attributable as
+//     such: the sharded sweeps can only fold wall clock when
+//     GOMAXPROCS grants real cores.
+//   - CDSParallel: shard-width scaling cells for the default engine
+//     (GOMAXPROCS set per cell) plus the bit-identity gate — the
+//     refinements at GOMAXPROCS 1 (serial sweeps) and 8 (sharded)
+//     must produce identical move traces down to the float bits, in
+//     strict and in batched mode. A mismatch fails the run (nonzero
+//     exit), so CI enforces the determinism contract, not just the
+//     tests.
 //   - Tables2to4: the paper's worked example (DRP + CDS, cost 22.29).
 //   - Figure6/Figure7: the execution-time comparisons over K and N
 //     with GOPT pinned to Workers: 1 — timing figures measure
@@ -37,8 +38,9 @@
 //     subscribers-per-core over timed windows (see fanout.go): legacy
 //     per-subscriber queues vs the shared frame ring over real TCP,
 //     plus a 100k-subscriber ring cell with byte-parity verifiers.
-//     Full runs gate the ring/queue gain at 10x, parity failures and
-//     100k backpressure events at zero.
+//     Full runs gate the ring/queue gain at 10x and 100k backpressure
+//     events at zero; every run gates parity failures and malformed
+//     frames at zero and each delivery ratio at 1 or below.
 //   - TelemetryOverhead: what the costmon cost-attribution probes cost
 //     the fan-out drain (see telemetry.go) — ring cells with the
 //     monitor absent and present, microbenchmarks pricing one
@@ -68,16 +70,18 @@ import (
 
 	"diversecast/internal/core"
 	"diversecast/internal/gopt"
+	"diversecast/internal/obs"
 	"diversecast/internal/obs/trace"
 	"diversecast/internal/workload"
 )
 
 // benchResult is one benchmark's measurements; Metrics carries the
 // custom b.ReportMetric values (cost, Wb_s). The CDS cells also record
-// the engine configuration and the process GOMAXPROCS so a reader can
-// tell a single-core artifact from a multi-core one without guessing:
-// a parallel cell measured at gomaxprocs=1 prices the engine's
-// bookkeeping, not its scaling.
+// the engine configuration and the GOMAXPROCS they ran under so a
+// reader can tell a single-core artifact from a multi-core one without
+// guessing: the engine shards its large sweeps GOMAXPROCS wide, so
+// Workers is that width, and a cell measured at gomaxprocs=1 ran every
+// sweep inline.
 type benchResult struct {
 	Name        string             `json:"name"`
 	Iterations  int                `json:"iterations"`
@@ -129,12 +133,20 @@ func (r *report) record(name string, br testing.BenchmarkResult) *benchResult {
 }
 
 // tagCDS stamps a CDS cell's result with the engine configuration it
-// measured plus the process GOMAXPROCS.
+// measured: strategy, batch size, and the GOMAXPROCS it ran under,
+// which is also the engine's shard width.
 func tagCDS(res *benchResult, c *core.CDS) {
 	res.Strategy = c.Strategy.String()
-	res.Workers = c.Workers
+	res.Workers = runtime.GOMAXPROCS(0)
 	res.BatchSize = c.BatchSize
-	res.GOMAXPROCS = runtime.GOMAXPROCS(0)
+	res.GOMAXPROCS = res.Workers
+}
+
+// withProcs runs fn under GOMAXPROCS procs — the default CDS engine's
+// shard width — and restores the previous setting.
+func withProcs(procs int, fn func() error) error {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return fn()
 }
 
 func main() {
@@ -260,6 +272,16 @@ func run(args []string, out io.Writer) error {
 	if pf, ok := rep.Derived["netcast_fanout_parity_failures"]; ok && pf != 0 {
 		return fmt.Errorf("%.0f payload parity failures across fan-out cells: subscribers received bytes that differ from the deterministic generator", pf)
 	}
+	if mf, ok := rep.Derived["netcast_fanout_malformed_frames"]; ok && mf != 0 {
+		return fmt.Errorf("%.0f malformed frames across fan-out cells: a subscriber write was not exactly one well-formed frame", mf)
+	}
+	// The window accounting counts only frames broadcast inside the
+	// window, so a ratio above 1 is an accounting bug, not load.
+	for _, key := range []string{"netcast_fanout_queue_delivery_ratio", "netcast_fanout_ring_delivery_ratio", "netcast_fanout_100k_delivery_ratio"} {
+		if ratio, ok := rep.Derived[key]; ok && ratio > 1 {
+			return fmt.Errorf("%s = %.4f exceeds 1: the window accounting counted a frame broadcast outside the window", key, ratio)
+		}
+	}
 	// The telemetry overheads are analytic bounds (probe costs measured
 	// over thousand-iteration batches against the cell's per-delivery
 	// cost), robust even at -quick iteration counts, so they gate every
@@ -349,17 +371,15 @@ func cdsScale(rep *report, quick bool, bt string) error {
 		return nil
 	}
 
-	// Large-N cells: the sizes the parallel engine exists for. The naive
-	// engine is excluded (an O(N·K) sweep per selection is hours here);
-	// the incremental engine is the baseline. MaxMoves=1000 keeps a cell
-	// in whole seconds while amortizing the one-time table build enough
-	// that the per-move machinery dominates. The derived speedups divide
-	// the baseline by the sharded engine (strict descent, identical
-	// moves) and by the batched engine (relaxed descent, same-cost
-	// guarantee per move only) — read them against this result's
-	// gomaxprocs tag: with one core the sharded ratio prices pure
-	// engine bookkeeping, and only the batched ratio (fewer table
-	// repairs per move, a per-core-independent saving) can exceed 1.
+	// Large-N cells: the sizes the sharded sweeps and the batched mode
+	// exist for. The naive engine is excluded (an O(N·K) sweep per
+	// selection is hours here); strict descent is the baseline.
+	// MaxMoves=1000 keeps a cell in whole seconds while amortizing the
+	// one-time table build enough that the per-move machinery
+	// dominates. The derived speedup divides the baseline by the
+	// batched mode (relaxed descent, same-cost guarantee per move
+	// only): fewer table repairs per move, a per-core-independent
+	// saving. Both cells shard at the process GOMAXPROCS.
 	{
 		const bigN, bigK, bigMoves = 100000, 256, 1000
 		db := workload.Config{N: bigN, Theta: 0.8, Phi: 2, Seed: 1}.MustGenerate()
@@ -373,20 +393,12 @@ func cdsScale(rep *report, quick bool, bt string) error {
 		if err != nil {
 			return err
 		}
-		par, err := benchCDS(rep, base+"parallel/W=8",
-			&core.CDS{Strategy: core.StrategyParallel, Workers: 8, MaxMoves: bigMoves}, a)
-		if err != nil {
-			return err
-		}
-		bat, err := benchCDS(rep, base+"parallel/W=8/B=64",
-			&core.CDS{Strategy: core.StrategyParallel, Workers: 8, BatchSize: 64, MaxMoves: bigMoves}, a)
+		bat, err := benchCDS(rep, base+"incremental/B=64",
+			&core.CDS{BatchSize: 64, MaxMoves: bigMoves}, a)
 		if err != nil {
 			return err
 		}
 		cell := fmt.Sprintf("/N=%d/K=%d", bigN, bigK)
-		if par > 0 {
-			rep.Derived["cds_parallel_speedup"+cell] = incr / par
-		}
 		if bat > 0 {
 			rep.Derived["cds_batched_speedup"+cell] = incr / bat
 		}
@@ -407,8 +419,8 @@ func cdsScale(rep *report, quick bool, bt string) error {
 		if err != nil {
 			return err
 		}
-		name := fmt.Sprintf("CDSScale/N=%d/K=%d/parallel/W=8/B=64", hugeN, hugeK)
-		cds := &core.CDS{Strategy: core.StrategyParallel, Workers: 8, BatchSize: 64, MaxMoves: hugeMoves}
+		name := fmt.Sprintf("CDSScale/N=%d/K=%d/incremental/B=64", hugeN, hugeK)
+		cds := &core.CDS{BatchSize: 64, MaxMoves: hugeMoves}
 		if _, err := benchCDS(rep, name, cds, a); err != nil {
 			return err
 		}
@@ -435,63 +447,72 @@ func sameMoves(a, b []core.Move) bool {
 	return true
 }
 
-// cdsParallel runs the worker-scaling cells and the bit-identity gate.
-// The gate is the determinism contract enforced where CI can see it:
-// the same refinement at Workers=1 and Workers=8 must produce
-// bit-for-bit identical move traces (strict mode), and the batched
-// mode must be worker-count-invariant the same way. Any divergence
-// returns an error before the report gates, failing the run. The gate
-// needs no multi-core host — sharding is by index, so a single core
-// exercises the same shard boundaries and reduction order.
+// cdsParallel runs the shard-width scaling cells and the bit-identity
+// gate. The default engine shards its large sweeps GOMAXPROCS wide, so
+// every cell sets GOMAXPROCS for its duration. The gate is the
+// determinism contract enforced where CI can see it: the same
+// refinement at GOMAXPROCS 1 (every sweep inline) and 8 (sweeps
+// sharded, checked on the engine's sharded-sweep counter) must produce
+// bit-for-bit identical move traces, in strict and in batched mode.
+// Any divergence returns an error before the report gates, failing the
+// run. The gate needs no multi-core host — sharding is by index, so a
+// single core exercises the same shard boundaries and reduction order.
+//
+// Strict moves shard only when their two touched groups are large
+// (core's cdsShardMinGroup), so the strict gate and scaling cells run
+// at K=8; the batched cells and the baseline cell keep the family's
+// many-channel instance.
 func cdsParallel(rep *report, quick bool) error {
 	n, k, maxMoves, batch := 20000, 64, 200, 32
 	if quick {
 		n, k, maxMoves = 6000, 32, 60
 	}
+	const strictK = 8
 	db := workload.Config{N: n, Theta: 0.8, Phi: 2, Seed: 1}.MustGenerate()
 	a, err := randomAllocation(db, k, 7)
 	if err != nil {
 		return err
 	}
+	narrow, err := randomAllocation(db, strictK, 7)
+	if err != nil {
+		return err
+	}
 
-	// Bit-identity gate, strict mode. Workers=1 delegates to the serial
-	// incremental selector, so this also pins parallel == incremental.
-	w1 := &core.CDS{Strategy: core.StrategyParallel, Workers: 1, MaxMoves: maxMoves}
-	w8 := &core.CDS{Strategy: core.StrategyParallel, Workers: 8, MaxMoves: maxMoves}
-	_, t1, err := w1.RefineWithTrace(a)
-	if err != nil {
-		return err
+	for _, g := range []struct {
+		mode  string
+		cds   *core.CDS
+		start *core.Allocation
+	}{
+		{"strict", &core.CDS{MaxMoves: maxMoves}, narrow},
+		{"batched", &core.CDS{BatchSize: batch, MaxMoves: maxMoves}, a},
+	} {
+		var traces [2][]core.Move
+		var sweeps [2]int64
+		for i, procs := range []int{1, 8} {
+			before := shardedSweeps()
+			err := withProcs(procs, func() (err error) {
+				_, traces[i], err = g.cds.RefineWithTrace(g.start)
+				return err
+			})
+			if err != nil {
+				return err
+			}
+			sweeps[i] = shardedSweeps() - before
+		}
+		if sweeps[0] != 0 || sweeps[1] == 0 {
+			return fmt.Errorf("bit-identity gate: %s mode sharded %d sweeps at GOMAXPROCS=1 and %d at GOMAXPROCS=8; the gate needs serial vs sharded", g.mode, sweeps[0], sweeps[1])
+		}
+		if !sameMoves(traces[0], traces[1]) {
+			return fmt.Errorf("bit-identity gate: %s traces diverge between GOMAXPROCS=1 and GOMAXPROCS=8 (N=%d K=%d B=%d, %d vs %d moves)", g.mode, n, g.start.K(), g.cds.BatchSize, len(traces[0]), len(traces[1]))
+		}
+		rep.Derived["cds_"+g.mode+"_bit_identity_moves"] = float64(len(traces[0]))
 	}
-	_, t8, err := w8.RefineWithTrace(a)
-	if err != nil {
-		return err
-	}
-	if !sameMoves(t1, t8) {
-		return fmt.Errorf("bit-identity gate: strict parallel traces diverge between Workers=1 and Workers=8 (N=%d K=%d, %d vs %d moves)", n, k, len(t1), len(t8))
-	}
-	rep.Derived["cds_parallel_bit_identity_moves"] = float64(len(t1))
 
-	// Bit-identity gate, batched mode: the descent path may differ from
-	// strict, but it must not depend on the worker count.
-	b1 := &core.CDS{Strategy: core.StrategyParallel, Workers: 1, BatchSize: batch, MaxMoves: maxMoves}
-	b8 := &core.CDS{Strategy: core.StrategyParallel, Workers: 8, BatchSize: batch, MaxMoves: maxMoves}
-	_, tb1, err := b1.RefineWithTrace(a)
-	if err != nil {
-		return err
-	}
-	_, tb8, err := b8.RefineWithTrace(a)
-	if err != nil {
-		return err
-	}
-	if !sameMoves(tb1, tb8) {
-		return fmt.Errorf("bit-identity gate: batched traces diverge between Workers=1 and Workers=8 (N=%d K=%d B=%d, %d vs %d moves)", n, k, batch, len(tb1), len(tb8))
-	}
-	rep.Derived["cds_batched_bit_identity_moves"] = float64(len(tb1))
-
-	// Timing cells: the incremental baseline against the parallel
-	// engine at increasing worker counts, then the batched mode. Quick
-	// runs keep one cell per engine mode at two worker counts — enough
-	// for CI to notice a regression sign, not to measure scaling.
+	// Timing cells: the engine at the process GOMAXPROCS (the baseline
+	// cell), strict descent at increasing shard widths on the K=8
+	// instance, then the batched mode. Quick runs keep one cell per
+	// engine mode at two widths — enough for CI to notice a regression
+	// sign, not to measure scaling.
 	workers := []int{1, 2, 4, 8}
 	batches := []int{8, 32}
 	if quick {
@@ -499,32 +520,44 @@ func cdsParallel(rep *report, quick bool) error {
 		batches = []int{batch}
 	}
 	base := fmt.Sprintf("CDSParallel/N=%d/K=%d/", n, k)
-	incr, err := benchCDS(rep, base+"incremental",
-		&core.CDS{Strategy: core.StrategyIncremental, MaxMoves: maxMoves}, a)
+	incr, err := benchCDS(rep, base+"incremental", &core.CDS{MaxMoves: maxMoves}, a)
 	if err != nil {
 		return err
 	}
+	var serial float64
 	for _, w := range workers {
-		cds := &core.CDS{Strategy: core.StrategyParallel, Workers: w, MaxMoves: maxMoves}
-		ns, err := benchCDS(rep, fmt.Sprintf("%sW=%d", base, w), cds, a)
+		err := withProcs(w, func() error {
+			ns, err := benchCDS(rep, fmt.Sprintf("CDSParallel/N=%d/K=%d/W=%d", n, strictK, w), &core.CDS{MaxMoves: maxMoves}, narrow)
+			if w == 1 {
+				serial = ns
+			}
+			if ns > 0 && serial > 0 {
+				rep.Derived[fmt.Sprintf("cds_parallel_speedup_w%d/N=%d/K=%d", w, n, strictK)] = serial / ns
+			}
+			return err
+		})
 		if err != nil {
 			return err
-		}
-		if ns > 0 {
-			rep.Derived[fmt.Sprintf("cds_parallel_speedup_w%d/N=%d/K=%d", w, n, k)] = incr / ns
 		}
 	}
 	for _, bsz := range batches {
-		cds := &core.CDS{Strategy: core.StrategyParallel, Workers: 8, BatchSize: bsz, MaxMoves: maxMoves}
-		ns, err := benchCDS(rep, fmt.Sprintf("%sW=8/B=%d", base, bsz), cds, a)
+		err := withProcs(8, func() error {
+			ns, err := benchCDS(rep, fmt.Sprintf("%sW=8/B=%d", base, bsz), &core.CDS{BatchSize: bsz, MaxMoves: maxMoves}, a)
+			if ns > 0 {
+				rep.Derived[fmt.Sprintf("cds_batched_speedup_b%d/N=%d/K=%d", bsz, n, k)] = incr / ns
+			}
+			return err
+		})
 		if err != nil {
 			return err
 		}
-		if ns > 0 {
-			rep.Derived[fmt.Sprintf("cds_batched_speedup_b%d/N=%d/K=%d", bsz, n, k)] = incr / ns
-		}
 	}
 	return nil
+}
+
+// shardedSweeps reads the CDS engine's sharded-sweep counter.
+func shardedSweeps() int64 {
+	return obs.Default().Snapshot().Counter("core_cds_parallel_sweeps_total")
 }
 
 // tables2to4 reproduces the paper's worked example end to end and

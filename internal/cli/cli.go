@@ -59,22 +59,20 @@ func (f *DBFlags) Load() (*core.Database, map[int]string, error) {
 }
 
 // CDSFlags selects the CDS move-selection engine for the drp-cds/cds
-// algorithms: strategy name, worker-pool width, and batch size (see
-// core.CDS for the semantics of each).
+// algorithms: strategy name and batch size (see core.CDS for the
+// semantics of each). Sweep sharding needs no flag: the incremental
+// engine shards large sweeps across GOMAXPROCS on its own.
 type CDSFlags struct {
 	Strategy string
-	Workers  int
 	Batch    int
 }
 
 // Register installs the CDS engine flags on fs.
 func (f *CDSFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Strategy, "cds-strategy", core.StrategyIncremental.String(),
-		"CDS move-selection engine: incremental, naive or parallel")
-	fs.IntVar(&f.Workers, "cds-workers", 0,
-		"parallel CDS sweep workers (0 = GOMAXPROCS, 1 = serial; parallel strategy only)")
+		"CDS move-selection engine: incremental (large sweeps shard across GOMAXPROCS) or naive (the paper's literal rescan)")
 	fs.IntVar(&f.Batch, "cds-batch", 0,
-		"apply up to this many non-conflicting moves per sweep (parallel strategy only; <2 keeps strict steepest descent)")
+		"apply up to this many non-conflicting moves per sweep (incremental strategy only; 0 or 1 keeps strict steepest descent)")
 }
 
 // Refiner resolves the flags into a CDS refiner, rejecting unknown
@@ -85,13 +83,13 @@ func (f *CDSFlags) Refiner() (*core.CDS, error) {
 	if err != nil {
 		return nil, err
 	}
-	if f.Workers < 0 {
-		return nil, fmt.Errorf("-cds-workers must be >= 0, got %d", f.Workers)
+	if f.Batch < 0 {
+		return nil, fmt.Errorf("-cds-batch must be >= 0, got %d", f.Batch)
 	}
-	if f.Batch > 1 && strat != core.StrategyParallel {
-		return nil, fmt.Errorf("-cds-batch %d requires -cds-strategy parallel, got %q", f.Batch, f.Strategy)
+	if f.Batch > 1 && strat != core.StrategyIncremental {
+		return nil, fmt.Errorf("-cds-batch %d requires -cds-strategy incremental, got %q", f.Batch, f.Strategy)
 	}
-	return &core.CDS{Strategy: strat, Workers: f.Workers, BatchSize: f.Batch}, nil
+	return &core.CDS{Strategy: strat, BatchSize: f.Batch}, nil
 }
 
 // AlgorithmNames lists the allocators NewAllocator accepts.

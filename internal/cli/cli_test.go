@@ -112,7 +112,7 @@ func parseCDS(t *testing.T, args ...string) *CDSFlags {
 func TestCDSFlagsRoundTrip(t *testing.T) {
 	// Every strategy name round-trips through the flag into a refiner
 	// with the matching engine.
-	for _, s := range []core.CDSStrategy{core.StrategyIncremental, core.StrategyNaive, core.StrategyParallel} {
+	for _, s := range []core.CDSStrategy{core.StrategyIncremental, core.StrategyNaive} {
 		f := parseCDS(t, "-cds-strategy", s.String())
 		cds, err := f.Refiner()
 		if err != nil {
@@ -122,29 +122,29 @@ func TestCDSFlagsRoundTrip(t *testing.T) {
 			t.Fatalf("strategy %q resolved to %v", s.String(), cds.Strategy)
 		}
 	}
-	// Defaults: incremental, auto workers, strict (unbatched) mode.
+	// Defaults: incremental, strict (unbatched) mode.
 	cds, err := parseCDS(t).Refiner()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cds.Strategy != core.StrategyIncremental || cds.Workers != 0 || cds.BatchSize != 0 {
+	if cds.Strategy != core.StrategyIncremental || cds.BatchSize != 0 {
 		t.Fatalf("defaults resolved to %+v", cds)
 	}
-	// Full parallel configuration.
-	cds, err = parseCDS(t, "-cds-strategy", "parallel", "-cds-workers", "8", "-cds-batch", "16").Refiner()
+	// Batched mode on the default engine.
+	cds, err = parseCDS(t, "-cds-batch", "16").Refiner()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cds.Strategy != core.StrategyParallel || cds.Workers != 8 || cds.BatchSize != 16 {
-		t.Fatalf("parallel flags resolved to %+v", cds)
+	if cds.Strategy != core.StrategyIncremental || cds.BatchSize != 16 {
+		t.Fatalf("batched flags resolved to %+v", cds)
 	}
 }
 
 func TestCDSFlagsErrors(t *testing.T) {
 	cases := [][]string{
 		{"-cds-strategy", "exhaustive"},
-		{"-cds-workers", "-1"},
-		{"-cds-batch", "4"}, // batch without the parallel strategy
+		{"-cds-strategy", "parallel"}, // sharding is automatic, not an engine
+		{"-cds-batch", "-5"},
 		{"-cds-strategy", "naive", "-cds-batch", "2"},
 	}
 	for _, args := range cases {

@@ -105,34 +105,24 @@ func BenchmarkCDSScale(b *testing.B) {
 	}
 }
 
-// BenchmarkCDSParallel sweeps the parallel engine's worker count and
-// batch size at a size where sharding engages (N above the serial
-// fallback threshold). Workers=1 delegates to the serial incremental
-// path, so the W=1 cell doubles as the apples-to-apples baseline; the
-// batched cells measure the algorithmic (per-core-independent) win of
-// repairing the tables once per batch. -short skips the family.
+// BenchmarkCDSParallel measures the default engine at a size where
+// its sweeps shard (N above the item threshold), strict and batched.
+// The shard width is GOMAXPROCS, so sweep it with the -cpu flag
+// (-cpu 1,2,4,8): at -cpu 1 every sweep runs inline, which makes that
+// cell the serial baseline; the batched cells measure the algorithmic
+// (per-core-independent) win of repairing the tables once per batch.
+// -short skips the family.
 func BenchmarkCDSParallel(b *testing.B) {
 	if testing.Short() {
-		b.Skip("parallel scaling cells need N above the shard threshold")
+		b.Skip("sharded cells need N above the shard threshold")
 	}
 	const maxMoves = 200
 	n, k := 20000, 64
 	db := benchDB(b, n)
 	a := randomAllocation(b, db, k, 7)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("N=%d/K=%d/W=%d", n, k, workers), func(b *testing.B) {
-			cds := &CDS{Strategy: StrategyParallel, Workers: workers, MaxMoves: maxMoves}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := cds.Refine(a); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	for _, batch := range []int{8, 32} {
-		b.Run(fmt.Sprintf("N=%d/K=%d/W=8/B=%d", n, k, batch), func(b *testing.B) {
-			cds := &CDS{Strategy: StrategyParallel, Workers: 8, BatchSize: batch, MaxMoves: maxMoves}
+	for _, batch := range []int{0, 8, 32} {
+		b.Run(fmt.Sprintf("N=%d/K=%d/B=%d", n, k, batch), func(b *testing.B) {
+			cds := &CDS{BatchSize: batch, MaxMoves: maxMoves}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := cds.Refine(a); err != nil {

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"diversecast/internal/obs/trace"
+	"diversecast/internal/pool"
 )
 
 // Trace span names emitted by CDS. Snake_case per the obsnames
@@ -45,19 +46,10 @@ type CDS struct {
 	// scaled to the problem (1e-12 × initial cost, floored at 1e-300).
 	Epsilon float64
 	// Strategy picks the move-selection engine. The zero value is
-	// StrategyIncremental: the differential trace tests pin every
-	// engine to identical output, so the fast serial one is the
-	// default.
+	// StrategyIncremental: the differential trace tests pin it to the
+	// naive oracle's output, so the fast engine is the default.
 	Strategy CDSStrategy
-	// Workers bounds the sweep worker pool of StrategyParallel: 0 uses
-	// GOMAXPROCS, 1 forces the serial path, larger values shard the
-	// candidate sweeps across that many goroutines. The selected moves
-	// are bit-for-bit identical at any width — sharding only changes
-	// who evaluates which item, never the arithmetic or the canonical
-	// reduction order. Negative is an error; ignored by the other
-	// strategies.
-	Workers int
-	// BatchSize > 1 enables the batched mode of StrategyParallel: up
+	// BatchSize > 1 enables the batched mode of StrategyIncremental: up
 	// to BatchSize non-conflicting moves — pairwise disjoint
 	// {source, destination} group pairs — are selected per sweep and
 	// applied back to back before the candidate tables are repaired
@@ -66,8 +58,7 @@ type CDS struct {
 	// application state; the mode relaxes strict steepest descent only
 	// in that moves after the first in a batch are per-group champions
 	// rather than global ones. 0 or 1 keeps strict steepest descent.
-	// Values > 1 with a strategy other than StrategyParallel are an
-	// error.
+	// Negative values, and values > 1 with StrategyNaive, are an error.
 	BatchSize int
 
 	// Tracer receives one cds_refine span per call with a cds_move
@@ -77,67 +68,57 @@ type CDS struct {
 	// a daemon enables tracing.
 	Tracer *trace.Tracer
 
-	// forceShard (tests only) makes StrategyParallel shard every
-	// sweep regardless of the size thresholds, so the small
+	// shardWidth (tests only) pins the sweep shard width and shards
+	// every sweep regardless of the size thresholds, so the small
 	// differential workloads exercise the sharded paths that real
-	// inputs only hit at scale.
-	forceShard bool
+	// inputs only hit at scale; 1 pins the serial path. The zero value
+	// is the production rule (see CDS.sharding).
+	shardWidth int
 }
 
 // CDSStrategy selects how CDS finds the best move each iteration.
-// All strategies produce move-for-move identical refinements (same
+// Both strategies produce move-for-move identical refinements (same
 // tie-break order, same floating-point bits); they differ only in
 // work per iteration. The one documented exception is the batched
-// mode of StrategyParallel (CDS.BatchSize > 1), which relaxes strict
-// steepest descent as described on CDS.BatchSize.
+// mode (CDS.BatchSize > 1), which relaxes strict steepest descent as
+// described on CDS.BatchSize.
 type CDSStrategy int
 
 const (
 	// StrategyIncremental (the default) maintains a per-item best-
 	// destination candidate table and recomputes only the entries a
-	// move can invalidate.
+	// move can invalidate. Its per-move sweeps shard across GOMAXPROCS
+	// once they are large enough (see CDS.sharding); sharding never
+	// changes the selected move.
 	StrategyIncremental CDSStrategy = iota
 	// StrategyNaive rescans every (item, destination) pair per
 	// iteration — the paper's literal algorithm, kept as the oracle
 	// for differential tests and benchmarks.
 	StrategyNaive
-	// StrategyParallel is StrategyIncremental with the per-move
-	// candidate sweeps sharded across a bounded by-index worker pool
-	// (CDS.Workers wide) in a fixed reduction order, so the selected
-	// move is bit-for-bit identical to the serial engines at any
-	// worker count. CDS.BatchSize > 1 additionally applies batches of
-	// non-conflicting moves per sweep.
-	StrategyParallel
 )
 
-// String returns the strategy name ("incremental", "naive" or
-// "parallel").
+// String returns the strategy name ("incremental" or "naive").
 func (s CDSStrategy) String() string {
 	switch s {
 	case StrategyIncremental:
 		return "incremental"
 	case StrategyNaive:
 		return "naive"
-	case StrategyParallel:
-		return "parallel"
 	default:
 		return fmt.Sprintf("CDSStrategy(%d)", int(s))
 	}
 }
 
 // ParseCDSStrategy maps a strategy name back to its value — the exact
-// inverse of String over the three engines — for flag and config
-// plumbing.
+// inverse of String over both engines — for flag and config plumbing.
 func ParseCDSStrategy(name string) (CDSStrategy, error) {
 	switch name {
 	case "incremental":
 		return StrategyIncremental, nil
 	case "naive":
 		return StrategyNaive, nil
-	case "parallel":
-		return StrategyParallel, nil
 	default:
-		return 0, fmt.Errorf("core: unknown CDS strategy %q (want incremental, naive or parallel)", name)
+		return 0, fmt.Errorf("core: unknown CDS strategy %q (want incremental or naive)", name)
 	}
 }
 
@@ -157,10 +138,10 @@ type Move struct {
 	CostBefore float64
 	CostAfter  float64
 	// Batch numbers the sweep batch this move was applied in by the
-	// batched mode of StrategyParallel (1-based, in application
-	// order); 0 for the strict steepest-descent engines, which apply
-	// exactly one move per sweep. The batch-replay tests use it to
-	// verify the disjointness and commutation contract.
+	// batched mode (1-based, in application order); 0 for strict
+	// steepest descent, which applies exactly one move per sweep. The
+	// batch-replay tests use it to verify the disjointness and
+	// commutation contract.
 	Batch int
 }
 
@@ -198,9 +179,9 @@ type selStats struct {
 	scans int64
 	// recomputed counts full per-item candidate recomputations.
 	recomputed int64
-	// parallelSweeps counts candidate sweeps that were actually
-	// sharded across the worker pool (small sweeps fall back to the
-	// serial path and are not counted).
+	// parallelSweeps counts strict moves and batch repairs whose
+	// sweeps were sharded (sweeps below the size thresholds run inline
+	// and are not counted).
 	parallelSweeps int64
 	// batchedMoves counts moves applied by the batched mode.
 	batchedMoves int64
@@ -222,11 +203,11 @@ func (c *CDS) refine(a *Allocation, wantTrace bool) (*Allocation, []Move, error)
 		}
 	}
 
-	if c.Workers < 0 {
-		return nil, nil, fmt.Errorf("core: CDS: negative Workers %d", c.Workers)
+	if c.BatchSize < 0 {
+		return nil, nil, fmt.Errorf("core: CDS: negative BatchSize %d", c.BatchSize)
 	}
-	if c.BatchSize > 1 && c.Strategy != StrategyParallel {
-		return nil, nil, fmt.Errorf("core: CDS: BatchSize %d requires StrategyParallel, not %v", c.BatchSize, c.Strategy)
+	if c.BatchSize > 1 && c.Strategy == StrategyNaive {
+		return nil, nil, fmt.Errorf("core: CDS: BatchSize %d requires StrategyIncremental, not %v", c.BatchSize, c.Strategy)
 	}
 
 	var sel moveSelector
@@ -236,17 +217,10 @@ func (c *CDS) refine(a *Allocation, wantTrace bool) (*Allocation, []Move, error)
 		sel = &naiveSelector{cur: cur, agg: agg}
 	case StrategyIncremental:
 		tables = acquireCDSTables(cur.db.Len(), len(agg))
-		sel = newIncrementalSelector(cur, agg, tables)
-	case StrategyParallel:
-		workers := c.Workers
-		if workers == 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		tables = acquireCDSTables(cur.db.Len(), len(agg))
 		if c.BatchSize > 1 {
-			sel = newBatchedSelector(cur, agg, tables, workers, c.BatchSize, eps, c.forceShard)
+			sel = newBatchedSelector(cur, agg, tables, c.sharding(), c.BatchSize, eps)
 		} else {
-			sel = newParallelSelector(cur, agg, tables, workers, c.forceShard)
+			sel = newIncrementalSelector(cur, agg, tables, c.sharding())
 		}
 	default:
 		return nil, nil, fmt.Errorf("core: CDS: unknown strategy %v", c.Strategy)
@@ -483,7 +457,7 @@ type cdsItem struct {
 }
 
 // cdsTables is the SoA working set shared by the table-driven CDS
-// engines (incremental, parallel, batched): the hot per-item records
+// modes (strict and batched): the hot per-item records
 // and the flat per-group shadows, split by access pattern so the
 // per-move sweeps stream exactly the bytes they read. The slices are
 // sized once per refinement and the whole struct is recycled through
@@ -547,11 +521,76 @@ func acquireCDSTables(n, k int) *cdsTables {
 
 func releaseCDSTables(t *cdsTables) { cdsTablesPool.Put(t) }
 
+// Size thresholds below which the table-driven selectors' sweeps stay
+// serial: a sharded sweep pays a goroutine handoff per shard, so
+// sharding only pays once a sweep has thousands of items of real work.
+// The decision depends only on sizes and GOMAXPROCS — never on
+// scheduling — and sharding never changes the arithmetic or the
+// reduction order, so the selected moves are the same either way.
+const (
+	// cdsShardMinItems is the smallest database whose sweeps (the
+	// strict merge, the batched repair) shard; below it every sweep of
+	// the refinement runs inline.
+	cdsShardMinItems = 4096
+	// cdsShardMinGroup is the smallest member count that shards a
+	// rescan: a batched repair's touched group, or a strict move's two
+	// touched groups together. For a strict move it also gates the
+	// merge sweep, whose per-item work grows with the touched groups'
+	// share of the database (~2/K): at N=10⁴ on two CPUs sharding cut
+	// K=8 refinements by a quarter but did not speed up K=64 ones,
+	// whose touched groups hold ~300 items.
+	cdsShardMinGroup = 1024
+)
+
+// sweepSharding is one refinement's shard plan: sweeps of at least
+// minItems positions, and touched-group rescans of at least minGroup
+// members, split into width contiguous shards on the by-index pool.
+// width 1 keeps every sweep inline.
+type sweepSharding struct {
+	width, minItems, minGroup int
+}
+
+// sharding returns the refinement's shard plan: GOMAXPROCS shards
+// behind the size thresholds, or the test hook's pinned width with the
+// thresholds dropped.
+func (c *CDS) sharding() sweepSharding {
+	if c.shardWidth > 0 {
+		return sweepSharding{width: c.shardWidth}
+	}
+	return sweepSharding{width: runtime.GOMAXPROCS(0), minItems: cdsShardMinItems, minGroup: cdsShardMinGroup}
+}
+
+// cdsChamp is a sweep's champion move under the canonical CDS order
+// (Δc descending, then source channel ascending, then position
+// ascending), kept as just its Δc and position: an item's table is
+// final once the sweep has visited it, so the move's source and
+// destination are read back from chq and hot afterwards. dc > 0
+// exactly when a champion was found — only a strictly positive Δc
+// displaces the zero start, matching the naive scan's sentinel. The
+// order is total ((channel, position) is unique per item), so folding
+// range champions in any fixed order yields exactly the champion one
+// serial sweep over the same items finds, regardless of shard width.
+type cdsChamp struct {
+	dc  float64
+	pos int
+}
+
+// fold returns the champion after offering it the item at pos, in
+// group chq[pos], with best reduction dc. pos may index a range's
+// subslice of chq: the tie-break only compares positions within it.
+func (c cdsChamp) fold(dc float64, pos int, chq []int32) cdsChamp {
+	//diverselint:ignore floateq deliberate exact tie-break: equal Δc across items must resolve by (channel, position) exactly like the naive scan order
+	if dc > c.dc || c.dc > 0 && dc == c.dc && (chq[pos] < chq[c.pos] || chq[pos] == chq[c.pos] && pos < c.pos) {
+		return cdsChamp{dc: dc, pos: pos}
+	}
+	return c
+}
+
 // incrementalSelector maintains the candidate cache. A move D_p → D_q
 // only changes agg[p] and agg[q], so after a move: items inside p or
 // q recompute over all K destinations, and every other item folds
 // just the two freshly evaluated Δc toward p and q into its cached
-// entry list (see applied). The depth-3 list absorbs repeated
+// entry list (see mergeRange). The depth-3 list absorbs repeated
 // invalidations of the same popular destination group — the pattern
 // steepest descent produces — so full rescans stay rare.
 //
@@ -559,22 +598,39 @@ func releaseCDSTables(t *cdsTables) { cdsTablesPool.Put(t) }
 // every item exactly once (touched groups via recompute, the rest via
 // the merge loop), so it tracks the global champion as it goes and
 // next returns it in O(1).
+//
+// Large sweeps shard across the sweepSharding width: each shard owns a
+// contiguous position range, writes only its own items' table slots
+// plus its own champion/counter slot, and the shard champions are
+// reduced in shard order, so the selected move is bit-for-bit the
+// serial one at any width.
 type incrementalSelector struct {
 	*cdsTables
+	sweepSharding
 	cur        *Allocation
 	agg        []GroupAgg
 	champ      Move
 	champFound bool
 	scans      int64
 	recomputed int64
+	parSweeps  int64
+	// Per-shard reduction slots, width entries when sweeps can shard. The
+	// rare in-sweep full recomputes use scanTop4Direct, which needs no
+	// scratch, so shards share nothing writable but their own slots.
+	champs []cdsChamp
+	recomp []int64
 }
 
 // initTables attaches the selector to its allocation and fills every
 // table: item constants, aggregate shadows, channel shadow, and the
 // per-item candidate records (one delta fill per group shared by its
-// members). Shared by all three table-driven engines.
-func (s *incrementalSelector) initTables(cur *Allocation, agg []GroupAgg) {
-	s.cur, s.agg = cur, agg
+// members). Shared by both table-driven modes.
+func (s *incrementalSelector) initTables(cur *Allocation, agg []GroupAgg, sh sweepSharding) {
+	s.cur, s.agg, s.sweepSharding = cur, agg, sh
+	if s.shardSweep() {
+		s.champs = make([]cdsChamp, sh.width)
+		s.recomp = make([]int64, sh.width)
+	}
 	for i, it := range cur.db.items {
 		s.fzt[i] = cdsItem{f: it.Freq, z: it.Size, tfz: 2 * it.Freq * it.Size}
 	}
@@ -592,28 +648,21 @@ func (s *incrementalSelector) initTables(cur *Allocation, agg []GroupAgg) {
 	}
 }
 
-func newIncrementalSelector(cur *Allocation, agg []GroupAgg, t *cdsTables) *incrementalSelector {
+// shardSweep reports whether this refinement's sweeps shard: more than
+// one shard and a database at or above the item threshold.
+func (s *incrementalSelector) shardSweep() bool {
+	return s.width > 1 && len(s.chq) >= s.minItems
+}
+
+func newIncrementalSelector(cur *Allocation, agg []GroupAgg, t *cdsTables, sh sweepSharding) *incrementalSelector {
 	s := &incrementalSelector{cdsTables: t}
-	s.initTables(cur, agg)
+	s.initTables(cur, agg, sh)
 	// Initial champion sweep; applied keeps it current afterwards.
-	champ := Move{Reduction: 0}
-	found := false
-	for pos, p32 := range s.chq {
-		h := &s.hot[pos]
-		cd := h.e0dc
-		if cd > champ.Reduction {
-			champ = Move{Pos: pos, From: int(p32), To: int(h.d0), Reduction: cd}
-			found = true
-			continue
-		}
-		//diverselint:ignore floateq deliberate exact tie-break: equal Δc across items must resolve by (channel, position) exactly like the naive scan order
-		if found && cd == champ.Reduction && int(p32) < champ.From {
-			// Positions ascend in this sweep, so only a strictly
-			// smaller channel can steal the tie.
-			champ = Move{Pos: pos, From: int(p32), To: int(h.d0), Reduction: cd}
-		}
+	best := cdsChamp{}
+	for pos := range s.chq {
+		best = best.fold(s.hot[pos].e0dc, pos, s.chq)
 	}
-	s.champ, s.champFound = champ, found
+	s.setChamp(best)
 	return s
 }
 
@@ -638,13 +687,6 @@ func fillDeltasInto(p int, aggZs, aggFs, dzs, dfs []float64) {
 // fillDeltas is fillDeltasInto targeting the selector-wide scratch.
 func (s *incrementalSelector) fillDeltas(p int) {
 	fillDeltasInto(p, s.aggZ, s.aggF, s.dzs, s.dfs)
-}
-
-// recompute rebuilds the top-4 of the item at pos over all K−1
-// destinations: three exact entries plus the 4th-best as the bound.
-func (s *incrementalSelector) recompute(pos int) {
-	s.scanTop4Direct(pos, int(s.chq[pos]))
-	s.recomputed++
 }
 
 // scanTop4 rebuilds the top-4 of the item at pos from the deltas
@@ -771,57 +813,52 @@ func (s *incrementalSelector) applied(m Move) {
 	s.aggZ[from], s.aggF[from] = s.agg[from].Z, s.agg[from].F
 	s.aggZ[to], s.aggF[to] = s.agg[to].Z, s.agg[to].F
 	s.chq[m.Pos] = int32(to)
-	// The champion is rebuilt from scratch during this pass: every
-	// item is visited exactly once (touched groups below, everything
-	// else in the merge loop), and the fold uses the full canonical
-	// comparator (Δc desc, channel asc, position asc) because the
-	// three phases do not visit positions in one ascending sequence.
-	champDc := 0.0
-	champPos, champFrom, champTo := 0, 0, 0
-	found := false
+	// One shard decision per move, from the database size and the two
+	// touched groups' size (see cdsShardMinGroup).
+	members := [2][]int{s.cur.ChannelPositions(from), s.cur.ChannelPositions(to)}
+	sharded := s.shardSweep() && len(members[0])+len(members[1]) >= s.minGroup
+	if sharded {
+		s.parSweeps++
+	}
+	W := s.width
+	// The champion is rebuilt from scratch during this pass: every item
+	// is visited exactly once (touched groups below, everything else in
+	// the merge sweep), folded under the full canonical order.
+	best := cdsChamp{}
+
 	// Items now in either touched group (including the moved item, now
 	// in m.To): their own group's aggregates changed, so every cached
-	// Δc of theirs is stale — full recompute.
-	s.fillDeltas(from)
-	for _, pos := range s.cur.ChannelPositions(from) {
-		s.scanTop4(pos)
-		h := &s.hot[pos]
-		if cd := h.e0dc; cd > champDc {
-			champDc, champFrom, champPos, champTo = cd, from, pos, int(h.d0)
-			found = true
-		}
-		// No tie clause: within one group positions ascend, and the
-		// second touched group is handled with the full comparator
-		// below only if it could tie — see the tie folds below.
-	}
-	s.fillDeltas(to)
-	for _, pos := range s.cur.ChannelPositions(to) {
-		s.scanTop4(pos)
-		h := &s.hot[pos]
-		cd := h.e0dc
-		if cd > champDc {
-			champDc, champFrom, champPos, champTo = cd, to, pos, int(h.d0)
-			found = true
+	// Δc of theirs is stale — full recompute over all K destinations.
+	// fillDeltas runs serially per group; shards then read the
+	// selector-wide scratch without writing it.
+	for gi, g := range [2]int{from, to} {
+		s.fillDeltas(g)
+		ms := members[gi]
+		s.recomputed += int64(len(ms))
+		if !sharded {
+			for _, pos := range ms {
+				s.scanTop4Into(pos, s.dzs, s.dfs)
+				best = best.fold(s.hot[pos].e0dc, pos, s.chq)
+			}
 			continue
 		}
-		if found && foldTie(cd, to, pos, champDc, champFrom, champPos) {
-			champDc, champFrom, champPos, champTo = cd, to, pos, int(h.d0)
+		//diverselint:ignore loopalloc,hotalloc one closure header per parallel member sweep is the dispatch cost of sharding; the sweep itself is allocation-free
+		pool.RunRanges(W, W, len(ms), func(shard, lo, hi int) {
+			c := cdsChamp{}
+			for _, pos := range ms[lo:hi] {
+				s.scanTop4Into(pos, s.dzs, s.dfs)
+				c = c.fold(s.hot[pos].e0dc, pos, s.chq)
+			}
+			s.champs[shard] = c
+		})
+		for _, c := range s.champs {
+			best = best.fold(c.dc, c.pos, s.chq)
 		}
 	}
-	// Every other item: only its Δc toward from and to changed.
-	// Entries pointing at a touched group drop out of the item's list
-	// (their old values retain no entry status); what remains is still
-	// the exact ≻-descending top of the unchanged destinations,
-	// because anything unlisted was already ⪯ bound. Merging the
-	// remainder with the two fresh values in ≻ order yields exact
-	// placements for as long as each merged value strictly beats the
-	// bound — below that, an unlisted destination could outrank it.
-	chq := s.chq
-	// Equalized lengths let the compiler drop the per-item bounds
-	// checks in the sweep.
-	fzts := s.fzt[:len(chq)]
-	hots := s.hot[:len(chq)]
-	e1dcs, e2dcs := s.e1dc[:len(chq)], s.e2dc[:len(chq)]
+
+	// Every other item: the merge sweep. The per-(group, move)
+	// aggregate differences are hoisted serially, then mergeRange runs
+	// over the whole database or over each shard's range.
 	aggZs, aggFs := s.aggZ, s.aggF
 	fZ, fF := aggZs[from], aggFs[from]
 	tZ, tF := aggZs[to], aggFs[to]
@@ -832,20 +869,73 @@ func (s *incrementalSelector) applied(m Move) {
 			zt: aggZs[p] - tZ, ft: aggFs[p] - tF,
 		}
 	}
+	n := len(s.chq)
+	if sharded {
+		//diverselint:ignore hotalloc one closure header per sharded merge sweep is the dispatch cost of parallelism; mergeRange itself is allocation-free
+		pool.RunRanges(W, W, n, func(shard, lo, hi int) {
+			s.champs[shard], s.recomp[shard] = s.mergeRange(lo, hi, from, to)
+		})
+		for i, c := range s.champs {
+			best = best.fold(c.dc, c.pos, s.chq)
+			s.recomputed += s.recomp[i]
+		}
+	} else {
+		c, r := s.mergeRange(0, n, from, to)
+		best = best.fold(c.dc, c.pos, s.chq)
+		s.recomputed += r
+	}
+	s.setChamp(best)
+}
+
+// setChamp records c as the move next hands out.
+func (s *incrementalSelector) setChamp(c cdsChamp) {
+	if c.dc <= 0 {
+		s.champ, s.champFound = Move{}, false
+		return
+	}
+	s.champ = Move{Pos: c.pos, From: int(s.chq[c.pos]), To: int(s.hot[c.pos].d0), Reduction: c.dc}
+	s.champFound = true
+}
+
+// mergeRange is the Eq. 4 merge sweep over positions [lo, hi) for a
+// move from → to: every item outside the two touched groups folds its
+// fresh Δc toward them into its cached table. It writes only the
+// range's own table slots and reads the hoisted deltas, so shards may
+// run it concurrently on disjoint ranges. It returns the range's
+// champion and the number of full recomputes.
+//
+// Entries pointing at a touched group drop out of the item's list
+// (their old values retain no entry status); what remains is still
+// the exact ≻-descending top of the unchanged destinations, because
+// anything unlisted was already ⪯ bound. Merging the remainder with
+// the two fresh values in ≻ order yields exact placements for as long
+// as each merged value strictly beats the bound — below that, an
+// unlisted destination could outrank it.
+func (s *incrementalSelector) mergeRange(lo, hi, from, to int) (cdsChamp, int64) {
+	// Subslices of equalized length let the compiler drop the per-item
+	// bounds checks in the sweep. The loop indexes the range (database
+	// position lo+i), and so does the champion until the return.
+	chq := s.chq[lo:hi]
+	fzts := s.fzt[lo:hi][:len(chq)]
+	hots := s.hot[lo:hi][:len(chq)]
+	e1dcs, e2dcs := s.e1dc[lo:hi][:len(chq)], s.e2dc[lo:hi][:len(chq)]
+	deltas := s.delta
+	var recomp int64
+	champ := cdsChamp{}
 	f32, t32 := int32(from), int32(to)
 	negInf := math.Inf(-1)
-	for pos, p32 := range chq {
+	for i, p32 := range chq {
 		if p32 == f32 || p32 == t32 {
 			continue
 		}
 		d := deltas[p32]
-		it := fzts[pos]
+		it := fzts[i]
 		// MoveReduction toward each touched group with the aggregate
 		// differences and the 2·f·z term precomputed; same expression,
 		// same bits.
 		dcF := it.f*d.zf + it.z*d.ff - it.tfz
 		dcT := it.f*d.zt + it.z*d.ft - it.tfz
-		h := &hots[pos]
+		h := &hots[i]
 		if dcF < h.bdc && dcT < h.bdc {
 			// Both fresh values fall strictly below the bound on Δc
 			// alone, so neither can enter the list — no candidate
@@ -855,12 +945,7 @@ func (s *incrementalSelector) applied(m Move) {
 			a0, a1, a2 := h.d0, h.d1, h.d2
 			if a0 != f32 && a0 != t32 && a1 != f32 && a1 != t32 && a2 != f32 && a2 != t32 {
 				// Nothing changes for this item.
-				if cd := h.e0dc; cd > champDc {
-					champDc, champFrom, champPos, champTo = cd, int(p32), pos, int(a0)
-					found = true
-				} else if found && foldTie(h.e0dc, int(p32), pos, champDc, champFrom, champPos) {
-					champDc, champFrom, champPos, champTo = h.e0dc, int(p32), pos, int(a0)
-				}
+				champ = champ.fold(h.e0dc, i, chq)
 				continue
 			}
 			// Filter-only: drop the touched entries. The survivors
@@ -876,39 +961,35 @@ func (s *incrementalSelector) applied(m Move) {
 				j++
 			}
 			if a1 >= 0 && a1 != f32 && a1 != t32 {
-				sd[j], sv[j] = a1, e1dcs[pos]
+				sd[j], sv[j] = a1, e1dcs[i]
 				j++
 			}
 			if a2 >= 0 && a2 != f32 && a2 != t32 {
-				sd[j], sv[j] = a2, e2dcs[pos]
+				sd[j], sv[j] = a2, e2dcs[i]
 				j++
 			}
 			if j == 0 {
 				// Every listed entry was invalidated; the new maximum
 				// may hide behind any unlisted destination.
-				s.recompute(pos)
+				s.scanTop4Direct(lo+i, int(p32))
+				recomp++
 			} else {
 				for ; j < 3; j++ {
 					sd[j], sv[j] = -1, negInf
 				}
 				h.e0dc, h.d0, h.d1, h.d2 = sv[0], sd[0], sd[1], sd[2]
-				e1dcs[pos], e2dcs[pos] = sv[1], sv[2]
+				e1dcs[i], e2dcs[i] = sv[1], sv[2]
 			}
-			if cd := h.e0dc; cd > champDc {
-				champDc, champFrom, champPos, champTo = cd, int(p32), pos, int(h.d0)
-				found = true
-			} else if found && foldTie(cd, int(p32), pos, champDc, champFrom, champPos) {
-				champDc, champFrom, champPos, champTo = cd, int(p32), pos, int(h.d0)
-			}
+			champ = champ.fold(h.e0dc, i, chq)
 			continue
 		}
-		hi := cdsCandidate{dest: from, dc: dcF}
-		lo := cdsCandidate{dest: to, dc: dcT}
-		if better(lo, hi) {
-			hi, lo = lo, hi
+		fhi := cdsCandidate{dest: from, dc: dcF}
+		flo := cdsCandidate{dest: to, dc: dcT}
+		if better(flo, fhi) {
+			fhi, flo = flo, fhi
 		}
 		eD := [3]int32{h.d0, h.d1, h.d2}
-		eV := [3]float64{h.e0dc, e1dcs[pos], e2dcs[pos]}
+		eV := [3]float64{h.e0dc, e1dcs[i], e2dcs[i]}
 		en := 1
 		if eD[1] >= 0 {
 			en = 2
@@ -917,23 +998,18 @@ func (s *incrementalSelector) applied(m Move) {
 			}
 		}
 		bound := cdsCandidate{dest: int(h.bdest), dc: h.bdc}
-		if !better(hi, bound) {
+		if !better(fhi, bound) {
 			// Reached only when a fresh Δc ties the bound exactly but
 			// loses the destination tie-break; if no listed entry is
 			// touched either, nothing changes.
 			if eD[0] != f32 && eD[0] != t32 && eD[1] != f32 && eD[1] != t32 &&
 				eD[2] != f32 && eD[2] != t32 {
-				if cd := eV[0]; cd > champDc {
-					champDc, champFrom, champPos, champTo = cd, int(p32), pos, int(eD[0])
-					found = true
-				} else if found && foldTie(cd, int(p32), pos, champDc, champFrom, champPos) {
-					champDc, champFrom, champPos, champTo = cd, int(p32), pos, int(eD[0])
-				}
+				champ = champ.fold(eV[0], i, chq)
 				continue
 			}
 		}
 		// General fold: merge the untouched listed entries with
-		// {hi, lo} in ≻ order, placing up to three exact entries
+		// {fhi, flo} in ≻ order, placing up to three exact entries
 		// while they strictly beat the old bound. A fourth merged
 		// value that still beats the bound becomes the new bound
 		// (it dominates everything dropped); otherwise the old bound
@@ -953,9 +1029,9 @@ func (s *incrementalSelector) applied(m Move) {
 			var c cdsCandidate
 			switch {
 			case ei < en && fi < 2:
-				fc := hi
+				fc := fhi
 				if fi == 1 {
-					fc = lo
+					fc = flo
 				}
 				c = cdsCandidate{dest: int(eD[ei]), dc: eV[ei]}
 				if better(c, fc) {
@@ -968,9 +1044,9 @@ func (s *incrementalSelector) applied(m Move) {
 				c = cdsCandidate{dest: int(eD[ei]), dc: eV[ei]}
 				ei++
 			case fi < 2:
-				c = hi
+				c = fhi
 				if fi == 1 {
-					c = lo
+					c = flo
 				}
 				fi++
 			default:
@@ -990,34 +1066,22 @@ func (s *incrementalSelector) applied(m Move) {
 			// The old best was invalidated and the fresh values fall
 			// at or below the bound: the new maximum may hide behind
 			// any unlisted destination.
-			s.recompute(pos)
+			s.scanTop4Direct(lo+i, int(p32))
+			recomp++
 		} else {
 			*h = cdsHot{
 				bdc: newBound.dc, e0dc: ne[0].dc,
 				d0: int32(ne[0].dest), d1: int32(ne[1].dest), d2: int32(ne[2].dest),
 				bdest: int32(newBound.dest),
 			}
-			e1dcs[pos], e2dcs[pos] = ne[1].dc, ne[2].dc
+			e1dcs[i], e2dcs[i] = ne[1].dc, ne[2].dc
 		}
-		if cd := h.e0dc; cd > champDc {
-			champDc, champFrom, champPos, champTo = cd, int(p32), pos, int(h.d0)
-			found = true
-		} else if found && foldTie(cd, int(p32), pos, champDc, champFrom, champPos) {
-			champDc, champFrom, champPos, champTo = cd, int(p32), pos, int(h.d0)
-		}
+		champ = champ.fold(h.e0dc, i, chq)
 	}
-	s.champ = Move{Pos: champPos, From: champFrom, To: champTo, Reduction: champDc}
-	s.champFound = found
-}
-
-// foldTie reports whether an item with best reduction dc in group p at
-// position pos steals a champion tie: same Δc, canonically earlier
-// (smaller channel, then smaller position) than the current champion.
-func foldTie(dc float64, p, pos int, champDc float64, champFrom, champPos int) bool {
-	//diverselint:ignore floateq deliberate exact tie-break: equal Δc across items must resolve by (channel, position) exactly like the naive scan order
-	return dc == champDc && (p < champFrom || (p == champFrom && pos < champPos))
+	champ.pos += lo
+	return champ, recomp
 }
 
 func (s *incrementalSelector) stats() selStats {
-	return selStats{scans: s.scans, recomputed: s.recomputed}
+	return selStats{scans: s.scans, recomputed: s.recomputed, parallelSweeps: s.parSweeps}
 }

@@ -7,7 +7,7 @@ import (
 	"diversecast/internal/pool"
 )
 
-// batchedSelector is the batched mode of StrategyParallel: instead of
+// batchedSelector is the batched mode of StrategyIncremental: instead of
 // repairing the candidate tables after every single move, it selects
 // up to BatchSize non-conflicting moves per sweep — one per source
 // group, pairwise disjoint {source, destination} group pairs — applies
@@ -37,14 +37,11 @@ import (
 // strict engines recognize as locally optimal.
 type batchedSelector struct {
 	incrementalSelector
-	workers  int
 	batchCap int
 	// eps is refine's termination threshold: only moves with Δc > eps
 	// are enqueued, so a mid-batch pop can never terminate the
 	// refinement while other groups still hold eligible moves.
-	eps      float64
-	minItems int
-	minGroup int
+	eps float64
 
 	// gchamp[g] is group g's champion move (its members' best cached
 	// move, canonical tie-break), gfound[g] whether one with Δc > 0
@@ -77,28 +74,18 @@ type batchedSelector struct {
 
 	batchSeq     int
 	batchedMoves int64
-	parSweeps    int64
 
-	// Per-shard reduction slots for the sharded repair sweep. The
-	// rebuild fallback uses scanTop4Direct, which needs no scratch.
-	sdirty  [][]bool
-	srecomp []int64
+	// Per-shard dirty marks for the sharded repair sweep (its recompute
+	// counts go to the embedded recomp slots). The rebuild fallback
+	// uses scanTop4Direct, which needs no scratch.
+	sdirty [][]bool
 }
 
 //diverselint:coldpath selector construction once per refinement run; the per-move work reuses these tables
-func newBatchedSelector(cur *Allocation, agg []GroupAgg, t *cdsTables, workers, batchCap int, eps float64, forceShard bool) *batchedSelector {
-	s := &batchedSelector{
-		workers:  workers,
-		batchCap: batchCap,
-		eps:      eps,
-		minItems: cdsParallelMinItems,
-		minGroup: cdsParallelMinGroup,
-	}
-	if forceShard {
-		s.minItems, s.minGroup = 0, 0
-	}
+func newBatchedSelector(cur *Allocation, agg []GroupAgg, t *cdsTables, sh sweepSharding, batchCap int, eps float64) *batchedSelector {
+	s := &batchedSelector{batchCap: batchCap, eps: eps}
 	s.cdsTables = t
-	s.initTables(cur, agg)
+	s.initTables(cur, agg, sh)
 	k := len(agg)
 	s.gchamp = make([]Move, k)
 	s.gfound = make([]bool, k)
@@ -115,10 +102,9 @@ func newBatchedSelector(cur *Allocation, agg []GroupAgg, t *cdsTables, workers, 
 	for g := range agg {
 		s.rebuildGroupChamp(g)
 	}
-	if workers > 1 {
-		s.sdirty = make([][]bool, workers)
-		s.srecomp = make([]int64, workers)
-		for w := 0; w < workers; w++ {
+	if s.shardSweep() {
+		s.sdirty = make([][]bool, sh.width)
+		for w := range s.sdirty {
 			s.sdirty[w] = make([]bool, k)
 		}
 	}
@@ -262,7 +248,11 @@ func (s *batchedSelector) applied(m Move) {
 // — via a sound pruning bound — that no touched destination can enter
 // its cached table, or rebuilds the table exactly.
 func (s *batchedSelector) repair() {
-	W := s.workers
+	W := s.width
+	sharded := s.shardSweep()
+	if sharded {
+		s.parSweeps++
+	}
 	// Ascending group order makes repairRange's fresh fold canonical:
 	// its strict-comparison cascade keeps the earliest (smallest) group
 	// on ties, exactly like a scan over all destinations would.
@@ -273,12 +263,11 @@ func (s *batchedSelector) repair() {
 	for _, g := range s.touchedList {
 		s.fillDeltas(g)
 		members := s.cur.ChannelPositions(g)
-		if W <= 1 || len(members) < s.minGroup {
+		if !sharded || len(members) < s.minGroup {
 			for _, pos := range members {
 				s.scanTop4Into(pos, s.dzs, s.dfs)
 			}
 		} else {
-			s.parSweeps++
 			//diverselint:ignore loopalloc,hotalloc one closure header per parallel member sweep is the dispatch cost of sharding; the sweep itself is allocation-free
 			pool.RunRanges(W, W, len(members), func(_, lo, hi int) {
 				for _, pos := range members[lo:hi] {
@@ -351,16 +340,15 @@ func (s *batchedSelector) repair() {
 	}
 	// Untouched items: skip-test or exact rebuild.
 	n := len(s.chq)
-	if W <= 1 || n < s.minItems {
+	if !sharded {
 		s.recomputed += s.repairRange(0, n, s.dirty)
 	} else {
-		s.parSweeps++
 		//diverselint:ignore hotalloc one closure header per sharded repair sweep is the dispatch cost of parallelism; repairRange itself is allocation-free
 		pool.RunRanges(W, W, n, func(shard, lo, hi int) {
-			s.srecomp[shard] = s.repairRange(lo, hi, s.sdirty[shard])
+			s.recomp[shard] = s.repairRange(lo, hi, s.sdirty[shard])
 		})
 		for w := 0; w < W; w++ {
-			s.recomputed += s.srecomp[w]
+			s.recomputed += s.recomp[w]
 			sd := s.sdirty[w]
 			for g, d := range sd {
 				if d {
@@ -586,10 +574,7 @@ func (s *batchedSelector) repairRange(lo, hi int, dirty []bool) int64 {
 }
 
 func (s *batchedSelector) stats() selStats {
-	return selStats{
-		scans:          s.scans,
-		recomputed:     s.recomputed,
-		parallelSweeps: s.parSweeps,
-		batchedMoves:   s.batchedMoves,
-	}
+	st := s.incrementalSelector.stats()
+	st.batchedMoves = s.batchedMoves
+	return st
 }

@@ -4,14 +4,15 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
 )
 
 // This file pins the CDS move-selection engines to each other: the
-// incremental candidate table and the parallel sharded sweeps (at
-// several worker counts) must produce a move-for-move identical
+// incremental candidate table, serial and with its sweeps sharded (at
+// several shard widths), must produce a move-for-move identical
 // refinement — same positions, same channels, and the same
 // floating-point BITS for every Δc and cost — as the naive full
 // rescan, across workload shapes (N, K, skewness θ, diversity Φ) far
@@ -43,17 +44,18 @@ func diverseDatabase(tb testing.TB, seed int, n int, theta, phi float64) *Databa
 }
 
 // strictEngines returns the strict steepest-descent engines pinned
-// bit-for-bit against the naive oracle: the incremental default plus
-// the parallel engine at worker counts 1, 2 and 8. Multi-worker
-// engines force-shard so these small workloads exercise the sharded
-// sweep, reduction and in-sweep recompute paths that real inputs only
-// hit at scale; Workers=1 exercises the serial delegation.
+// bit-for-bit against the naive oracle: the zero-config incremental
+// default plus the incremental engine pinned to shard widths 1, 2 and
+// 8. A pinned width shards every sweep regardless of size, so these
+// small workloads exercise the sharded sweep, reduction and in-sweep
+// recompute paths that real inputs only hit at scale; width 1 pins
+// the serial path.
 func strictEngines(maxMoves int) []*CDS {
 	return []*CDS{
-		{Strategy: StrategyIncremental, MaxMoves: maxMoves},
-		{Strategy: StrategyParallel, Workers: 1, MaxMoves: maxMoves},
-		{Strategy: StrategyParallel, Workers: 2, MaxMoves: maxMoves, forceShard: true},
-		{Strategy: StrategyParallel, Workers: 8, MaxMoves: maxMoves, forceShard: true},
+		{MaxMoves: maxMoves},
+		{MaxMoves: maxMoves, shardWidth: 1},
+		{MaxMoves: maxMoves, shardWidth: 2},
+		{MaxMoves: maxMoves, shardWidth: 8},
 	}
 }
 
@@ -67,10 +69,7 @@ func assertIdenticalTraces(t *testing.T, a *Allocation, maxMoves int) {
 		t.Fatalf("naive: %v", err)
 	}
 	for _, eng := range strictEngines(maxMoves) {
-		label := eng.Strategy.String()
-		if eng.Strategy == StrategyParallel {
-			label = fmt.Sprintf("parallel-w%d", eng.Workers)
-		}
+		label := fmt.Sprintf("%v-w%d", eng.Strategy, eng.shardWidth)
 		refE, movesE, err := eng.RefineWithTrace(a)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
@@ -118,12 +117,12 @@ func assertIdenticalTraces(t *testing.T, a *Allocation, maxMoves int) {
 //     commute;
 //   - with no move bound, the final state is a local optimum the
 //     naive scan certifies (no remaining move above eps).
-func assertBatchedContract(t *testing.T, a *Allocation, maxMoves, batch, workers int) {
+func assertBatchedContract(t *testing.T, a *Allocation, maxMoves, batch, width int) {
 	t.Helper()
-	eng := &CDS{Strategy: StrategyParallel, Workers: workers, BatchSize: batch, MaxMoves: maxMoves, forceShard: true}
+	eng := &CDS{BatchSize: batch, MaxMoves: maxMoves, shardWidth: width}
 	ref, moves, err := eng.RefineWithTrace(a)
 	if err != nil {
-		t.Fatalf("batched(w=%d,b=%d): %v", workers, batch, err)
+		t.Fatalf("batched(w=%d,b=%d): %v", width, batch, err)
 	}
 	if maxMoves > 0 && len(moves) > maxMoves {
 		t.Fatalf("batched applied %d moves, bound %d", len(moves), maxMoves)
@@ -299,7 +298,7 @@ func TestCDSIncrementalSelectorInvariant(t *testing.T) {
 
 	cur := a.Clone()
 	agg := cur.Aggregates()
-	sel := newIncrementalSelector(cur, agg, acquireCDSTables(db.Len(), cur.K()))
+	sel := newIncrementalSelector(cur, agg, acquireCDSTables(db.Len(), cur.K()), sweepSharding{width: 1})
 	check := func(step int) {
 		for pos := 0; pos < db.Len(); pos++ {
 			p := cur.ChannelOf(pos)
@@ -362,7 +361,7 @@ func TestCDSIncrementalSelectorInvariant(t *testing.T) {
 
 // TestCDSBatchedContract runs the batch-replay oracle across the same
 // workload table as the differential gate, at several batch sizes and
-// worker counts, from both random and DRP starting points.
+// shard widths, from both random and DRP starting points.
 func TestCDSBatchedContract(t *testing.T) {
 	cases := []struct {
 		n     int
@@ -406,10 +405,10 @@ func TestCDSBatchedUnderMaxMoves(t *testing.T) {
 }
 
 // TestCDSStrategyRoundTrip pins String/ParseCDSStrategy as exact
-// inverses over the three engines and the error path for unknown
-// names and values.
+// inverses over both engines and the error path for unknown names and
+// values.
 func TestCDSStrategyRoundTrip(t *testing.T) {
-	for _, s := range []CDSStrategy{StrategyIncremental, StrategyNaive, StrategyParallel} {
+	for _, s := range []CDSStrategy{StrategyIncremental, StrategyNaive} {
 		got, err := ParseCDSStrategy(s.String())
 		if err != nil {
 			t.Fatalf("ParseCDSStrategy(%q): %v", s.String(), err)
@@ -418,17 +417,19 @@ func TestCDSStrategyRoundTrip(t *testing.T) {
 			t.Fatalf("round trip %v → %q → %v", s, s.String(), got)
 		}
 	}
-	if _, err := ParseCDSStrategy("exhaustive"); err == nil {
-		t.Fatal("ParseCDSStrategy accepted an unknown name")
+	for _, name := range []string{"exhaustive", "parallel"} {
+		if _, err := ParseCDSStrategy(name); err == nil {
+			t.Fatalf("ParseCDSStrategy accepted unknown name %q", name)
+		}
 	}
 	if got := CDSStrategy(42).String(); got != "CDSStrategy(42)" {
 		t.Fatalf("unknown strategy String() = %q", got)
 	}
 }
 
-// TestCDSConfigErrors covers refine's validation of the three-engine
-// table: unknown strategies, negative worker counts, and batch sizes
-// on engines that cannot honor them.
+// TestCDSConfigErrors covers refine's validation of the engine table:
+// unknown strategies, negative batch sizes, and batch sizes on the
+// engine that cannot honor them.
 func TestCDSConfigErrors(t *testing.T) {
 	db := PaperExampleDatabase()
 	a := randomAllocation(t, db, PaperExampleK, 1)
@@ -438,9 +439,9 @@ func TestCDSConfigErrors(t *testing.T) {
 		want string
 	}{
 		{"unknown strategy", &CDS{Strategy: CDSStrategy(42)}, "unknown strategy"},
-		{"negative workers", &CDS{Strategy: StrategyParallel, Workers: -1}, "negative Workers"},
-		{"batch on incremental", &CDS{Strategy: StrategyIncremental, BatchSize: 4}, "requires StrategyParallel"},
-		{"batch on naive", &CDS{Strategy: StrategyNaive, BatchSize: 2}, "requires StrategyParallel"},
+		{"negative batch", &CDS{BatchSize: -5}, "negative BatchSize"},
+		{"negative batch on naive", &CDS{Strategy: StrategyNaive, BatchSize: -1}, "negative BatchSize"},
+		{"batch on naive", &CDS{Strategy: StrategyNaive, BatchSize: 2}, "requires StrategyIncremental"},
 	}
 	for _, tc := range cases {
 		if _, err := tc.cds.Refine(a); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -449,11 +450,57 @@ func TestCDSConfigErrors(t *testing.T) {
 	}
 	// The valid corners of the same table still refine.
 	for _, cds := range []*CDS{
-		{Strategy: StrategyParallel, Workers: 0, BatchSize: 1},
-		{Strategy: StrategyParallel, Workers: 3, BatchSize: 0},
+		{BatchSize: 1},
+		{BatchSize: 4},
+		{Strategy: StrategyNaive, BatchSize: 1},
 	} {
 		if _, err := cds.Refine(a); err != nil {
 			t.Fatalf("valid config %+v rejected: %v", cds, err)
+		}
+	}
+}
+
+// TestCDSShardsFromGOMAXPROCS pins the zero-config sharding rule: a
+// NewCDS refinement shards its sweeps exactly when GOMAXPROCS grants
+// more than one processor and the instance reaches the size
+// thresholds, and the sharded refinement still lands on the naive
+// oracle's allocation.
+func TestCDSShardsFromGOMAXPROCS(t *testing.T) {
+	start := func(n, k int) (*Allocation, *Allocation) {
+		a, err := NewDRP().Allocate(diverseDatabase(t, 3, n, 0.8, 2), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := (&CDS{Strategy: StrategyNaive}).Refine(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a, ref
+	}
+	big, bigRef := start(cdsShardMinItems, 4)
+	small, smallRef := start(120, 6)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct {
+		name     string
+		procs    int
+		a, ref   *Allocation
+		sharding bool
+	}{
+		{"N=4096/GOMAXPROCS=2", 2, big, bigRef, true},
+		{"N=4096/GOMAXPROCS=1", 1, big, bigRef, false},
+		{"N=120/GOMAXPROCS=2", 2, small, smallRef, false},
+	} {
+		runtime.GOMAXPROCS(tc.procs)
+		before := cdsParallelSweeps.Value()
+		out, err := NewCDS().Refine(tc.a)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if sweeps := cdsParallelSweeps.Value() - before; (sweeps > 0) != tc.sharding {
+			t.Fatalf("%s: %d sharded sweeps, want sharding %v", tc.name, sweeps, tc.sharding)
+		}
+		if !out.Equal(tc.ref) {
+			t.Fatalf("%s: zero-config refinement differs from the naive oracle", tc.name)
 		}
 	}
 }

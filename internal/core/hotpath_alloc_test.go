@@ -51,7 +51,14 @@ func TestHotPathContractsAllocFree(t *testing.T) {
 		agg := cur.Aggregates()
 		tables := acquireCDSTables(cur.db.Len(), len(agg))
 		defer releaseCDSTables(tables)
-		sel := newIncrementalSelector(cur, agg, tables)
+		// The production shard rule at this size keeps every sweep
+		// inline: the zero-alloc contract covers that serial path,
+		// while the sharded path's W spawns and closure headers are the
+		// audited suppressions in applied.
+		sel := newIncrementalSelector(cur, agg, tables, (&CDS{}).sharding())
+		if sel.shardSweep() {
+			t.Fatal("gate workload shards; it must measure the serial path")
+		}
 		alloctest.MustZeroAllocs(t, "incrementalSelector.next", 2, func() {
 			sel.next()
 		})
@@ -63,7 +70,7 @@ func TestHotPathContractsAllocFree(t *testing.T) {
 		agg := cur.Aggregates()
 		tables := acquireCDSTables(cur.db.Len(), len(agg))
 		defer releaseCDSTables(tables)
-		sel := newBatchedSelector(cur, agg, tables, 1, 4, 1e-12, false)
+		sel := newBatchedSelector(cur, agg, tables, sweepSharding{width: 1}, 4, 1e-12)
 		// Repeated next() calls alternate between draining the pending
 		// batch and assembling a fresh one from the per-group
 		// champions, so both shapes — the pop and the sort-and-filter
@@ -78,23 +85,11 @@ func TestHotPathContractsAllocFree(t *testing.T) {
 		agg := cur.Aggregates()
 		tables := acquireCDSTables(cur.db.Len(), len(agg))
 		defer releaseCDSTables(tables)
-		sel := newBatchedSelector(cur, agg, tables, 1, 4, 1e-12, false)
+		sel := newBatchedSelector(cur, agg, tables, sweepSharding{width: 1}, 4, 1e-12)
 		// With no pending batch in flight, every applied call runs the
 		// full end-of-batch repair — the most allocation-prone path
 		// the batched engine has.
 		alloctest.MustZeroAllocs(t, "batchedSelector.applied+repair", 2, pingPong(cur, agg, sel))
 	})
 
-	t.Run("parallelSelector", func(t *testing.T) {
-		cur := base.Clone()
-		agg := cur.Aggregates()
-		tables := acquireCDSTables(cur.db.Len(), len(agg))
-		defer releaseCDSTables(tables)
-		// workers=1 pins the serial delegation path: the zero-alloc
-		// contract covers it, while the sharded path's W spawns and
-		// closure headers are the audited suppressions in
-		// cds_parallel.go.
-		sel := newParallelSelector(cur, agg, tables, 1, false)
-		alloctest.MustZeroAllocs(t, "parallelSelector.applied", 2, pingPong(cur, agg, sel))
-	})
 }

@@ -23,7 +23,7 @@ var (
 	cdsCandidatesRecomputed = obs.Default().Counter("core_cds_candidates_recomputed_total",
 		"full per-item candidate recomputations by the incremental CDS strategy")
 	cdsParallelSweeps = obs.Default().Counter("core_cds_parallel_sweeps_total",
-		"candidate sweeps sharded across the parallel CDS worker pool")
+		"CDS moves and batch repairs whose candidate sweeps were sharded across GOMAXPROCS")
 	cdsBatchedMoves = obs.Default().Counter("core_cds_batched_moves_total",
 		"moves applied by the batched CDS mode (non-conflicting moves per sweep)")
 )
