@@ -92,4 +92,20 @@ func TestHotPathContractsAllocFree(t *testing.T) {
 		alloctest.MustZeroAllocs(t, "batchedSelector.applied+repair", 2, pingPong(cur, agg, sel))
 	})
 
+	t.Run("parallelSelector", func(t *testing.T) {
+		cur := base.Clone()
+		agg := cur.Aggregates()
+		tables := acquireCDSTables(cur.db.Len(), len(agg))
+		defer releaseCDSTables(tables)
+		// The sharding-capable selector pinned at width 1, the plan the
+		// shardWidth hook hands it, keeps every sweep inline whatever
+		// the size thresholds: the zero-alloc contract covers that
+		// path, while the sharded path's W spawns and closure headers
+		// are the audited suppressions in applied.
+		sel := newIncrementalSelector(cur, agg, tables, (&CDS{shardWidth: 1}).sharding())
+		if sel.shardSweep() {
+			t.Fatal("width-1 plan shards; it must stay on the serial path")
+		}
+		alloctest.MustZeroAllocs(t, "parallelSelector.applied", 2, pingPong(cur, agg, sel))
+	})
 }
