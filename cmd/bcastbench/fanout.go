@@ -21,16 +21,14 @@ import (
 	"diversecast/internal/wire"
 )
 
-// The NetcastFanout family measures the fan-out rearchitecture the way
+// The NetcastFanout family measures the shared-ring fan-out the way
 // it will be judged in production: whole-process CPU per delivered
-// frame, at subscriber counts per core. Three cells:
+// frame, at subscriber counts per core. Two cells:
 //
-//   - queue_tcp: the legacy per-subscriber-queue path over real
-//     loopback TCP — the baseline point. Every frame costs two write
-//     syscalls per subscriber plus one channel send from the caster.
-//   - ring_tcp: the shared-ring path over the same sockets and the
-//     same frame-rate-heavy program, at a much higher subscriber
-//     count. Batched vectored writes coalesce a lagging subscriber's
+//   - ring_tcp: the ring path over real loopback TCP on a
+//     frame-rate-heavy program, at a subscriber count far above what
+//     one write syscall per frame per subscriber could feed from one
+//     core. Batched vectored writes coalesce a lagging subscriber's
 //     backlog into single writev calls, so per-delivery cost falls as
 //     load rises.
 //   - ring_100k: the headline scale point. Real TCP cannot hold 100k
@@ -42,9 +40,10 @@ import (
 //     window saw no resync or drop storm.
 //
 // Each cell reports subscribers-per-core (subscribers divided by the
-// cores the whole process consumed during the measurement window);
-// the ring_tcp / queue_tcp ratio is the tracked gain, gated ≥ 10× in
-// full runs.
+// cores the whole process consumed during the measurement window).
+// The ring's 12.7× subscribers-per-core gain over the
+// per-subscriber-queue fan-out it replaced is recorded in BENCH_6.json
+// and BENCH_10.json.
 
 // fanoutProgram builds a one-channel program of n unit-size items:
 // frame-rate-heavy and byte-light, so per-frame overheads (syscalls,
@@ -242,8 +241,8 @@ type fanoutCell struct {
 	subsPerCore    float64
 	deliveries     int64 // frames written during the window (server count)
 	broadcastDelta int64
-	backpressure   int64 // resyncs + lag drops + queue drops during the window
-	traceStorm     int   // resync/queue-drop events visible in the trace ring
+	backpressure   int64 // resyncs + lag drops during the window
+	traceStorm     int   // resync events visible in the trace ring
 	parityFailures int64
 	receptions     int64
 	malformed      int64
@@ -253,7 +252,7 @@ type fanoutCell struct {
 	deliveryRatio float64
 }
 
-// runFanoutCell starts a server in the given mode, attaches tcpSubs
+// runFanoutCell starts a server with the given config, attaches tcpSubs
 // loopback TCP drains, sinkSubs in-process sinks and a few verifying
 // clients, lets the broadcast settle, then measures process CPU and
 // metric deltas over the window.
@@ -379,8 +378,7 @@ func runFanoutCell(rep *report, name string, cfg netcast.ServerConfig, tcpSubs, 
 		sent = snap.Counter(`netcast_frames_sent_total{channel="0"}`)
 		broadcastN = snap.Counter(`netcast_frames_broadcast_total{channel="0"}`)
 		bp = snap.Counter(`netcast_resyncs_total{channel="0"}`) +
-			snap.Counter(`netcast_lag_drops_total{channel="0"}`) +
-			snap.Counter(`netcast_queue_full_drops_total{channel="0"}`)
+			snap.Counter(`netcast_lag_drops_total{channel="0"}`)
 		return sent, broadcastN, bp
 	}
 
@@ -446,7 +444,7 @@ func runFanoutCell(rep *report, name string, cfg netcast.ServerConfig, tcpSubs, 
 		cell.deliveryRatio = float64(got) / float64(want)
 	}
 	tsnap := tr.Snapshot()
-	cell.traceStorm = len(tsnap.Named("netcast_resync")) + len(tsnap.Named("netcast_queue_drop"))
+	cell.traceStorm = len(tsnap.Named("netcast_resync"))
 
 	nsPerDelivery := 0.0
 	if cell.deliveries > 0 {
@@ -477,22 +475,20 @@ func (r *report) recordCustom(name string, iterations int, nsPerOp float64, metr
 	fmt.Fprintf(os.Stderr, "%-48s %12.0f ns/op\n", name, nsPerOp)
 }
 
-// netcastFanout runs the three fan-out cells and derives the tracked
-// gain and health numbers; run() gates them after the artifact is
-// written.
+// netcastFanout runs the fan-out cells and derives the tracked health
+// numbers; run() gates them after the artifact is written.
 func netcastFanout(rep *report, quick bool) error {
-	// Queue subscribers sit well below the legacy path's single-core
-	// saturation point (~100 at this frame rate) so the baseline is a
-	// healthy, fully-fed deployment. Ring subscribers sit far above it:
-	// that is the regime the ring was built for, where subscribers lag
-	// a few publishes behind and each wakeup drains a large vectored
-	// batch. Both cells must still deliver the whole broadcast
-	// (delivery ratio gated at 0.95) for the comparison to hold.
-	queueSubs, ringSubs, sinkSubs, verifiers := 64, 1536, 100_000, 4
+	// Ring subscribers sit far above one core's per-frame-write
+	// saturation point (~100 at this frame rate): that is the regime
+	// the ring was built for, where subscribers lag a few publishes
+	// behind and each wakeup drains a large vectored batch. The cell
+	// must still deliver the whole broadcast (delivery ratio gated at
+	// 0.95) for its subscribers-per-core to mean anything.
+	ringSubs, sinkSubs, verifiers := 1536, 100_000, 4
 	tcpWindow, sinkWindow := 4*time.Second, 8*time.Second
 	slowScale := 10.0
 	if quick {
-		queueSubs, ringSubs, sinkSubs, verifiers = 16, 512, 5_000, 2
+		ringSubs, sinkSubs, verifiers = 512, 5_000, 2
 		tcpWindow, sinkWindow = 1500*time.Millisecond, 2*time.Second
 		slowScale = 2.0
 	}
@@ -508,22 +504,10 @@ func netcastFanout(rep *report, quick bool) error {
 		return err
 	}
 
-	qc, err := runFanoutCell(rep,
-		fmt.Sprintf("NetcastFanout/queue_tcp/subs=%d", queueSubs),
-		netcast.ServerConfig{
-			Program: hot, TimeScale: 0.03,
-			Fanout:           netcast.FanoutQueue,
-			SubscriberBuffer: 8192,
-			WriteTimeout:     30 * time.Second,
-		}, queueSubs, 0, verifiers, tcpWindow)
-	if err != nil {
-		return err
-	}
 	rc, err := runFanoutCell(rep,
 		fmt.Sprintf("NetcastFanout/ring_tcp/subs=%d", ringSubs),
 		netcast.ServerConfig{
 			Program: hot, TimeScale: 0.03,
-			Fanout:       netcast.FanoutRing,
 			RingCapacity: 8192,
 			WriteTimeout: 30 * time.Second,
 		}, ringSubs, 0, verifiers, tcpWindow)
@@ -534,7 +518,6 @@ func netcastFanout(rep *report, quick bool) error {
 		fmt.Sprintf("NetcastFanout/ring_100k/subs=%d", sinkSubs+verifiers),
 		netcast.ServerConfig{
 			Program: slow, TimeScale: slowScale,
-			Fanout:       netcast.FanoutRing,
 			RingCapacity: 4096,
 			WriteTimeout: 30 * time.Second,
 		}, 0, sinkSubs, verifiers, sinkWindow)
@@ -542,17 +525,10 @@ func netcastFanout(rep *report, quick bool) error {
 		return err
 	}
 
-	if qc.subsPerCore > 0 {
-		rep.Derived["netcast_fanout_gain_subs_per_core"] = rc.subsPerCore / qc.subsPerCore
-	}
-	rep.Derived["netcast_fanout_queue_delivery_ratio"] = qc.deliveryRatio
 	rep.Derived["netcast_fanout_ring_delivery_ratio"] = rc.deliveryRatio
-	rep.Derived["netcast_fanout_parity_failures"] =
-		float64(qc.parityFailures + rc.parityFailures + big.parityFailures)
-	rep.Derived["netcast_fanout_malformed_frames"] =
-		float64(qc.malformed + rc.malformed + big.malformed)
-	rep.Derived["netcast_fanout_tcp_backpressure_events"] =
-		float64(qc.backpressure + rc.backpressure)
+	rep.Derived["netcast_fanout_parity_failures"] = float64(rc.parityFailures + big.parityFailures)
+	rep.Derived["netcast_fanout_malformed_frames"] = float64(rc.malformed + big.malformed)
+	rep.Derived["netcast_fanout_tcp_backpressure_events"] = float64(rc.backpressure)
 	rep.Derived["netcast_fanout_100k_backpressure_events"] =
 		float64(big.backpressure + int64(big.traceStorm))
 	rep.Derived["netcast_fanout_100k_delivery_ratio"] = big.deliveryRatio

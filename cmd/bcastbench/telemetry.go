@@ -66,7 +66,6 @@ func telemetryOverhead(rep *report, quick bool) error {
 	mkCfg := func(mon *costmon.Monitor) netcast.ServerConfig {
 		return netcast.ServerConfig{
 			Program: hot, TimeScale: 0.03,
-			Fanout:       netcast.FanoutRing,
 			RingCapacity: 8192,
 			WriteTimeout: 30 * time.Second,
 			CostMonitor:  mon,

@@ -112,8 +112,7 @@ func start(args []string, out io.Writer) (*app, error) {
 	bandwidth := fs.Float64("bandwidth", 10, "channel bandwidth (size units per second)")
 	timescale := fs.Float64("timescale", 1.0, "real seconds per virtual second (use <1 to accelerate)")
 	bytesPerUnit := fs.Int("bytes-per-unit", 64, "payload bytes per size unit")
-	fanout := fs.String("fanout", "ring", "fan-out architecture: ring (shared frame ring, batched writes) or queue (legacy per-subscriber queues)")
-	ringCapacity := fs.Int("ring-capacity", 1024, "frames retained per channel in the shared ring (ring fanout)")
+	ringCapacity := fs.Int("ring-capacity", 1024, "frames retained per channel in the shared ring")
 	resyncLimit := fs.Int("resync-limit", 3, "consecutive ring laps before a lagging subscriber is dropped")
 	clientRate := fs.Float64("client-rate", 0, "per-subscriber egress cap in bytes/second (0 = unlimited)")
 	channelRate := fs.Float64("channel-rate", 0, "per-channel aggregate egress cap in bytes/second (0 = unlimited)")
@@ -166,7 +165,6 @@ func start(args []string, out io.Writer) (*app, error) {
 		Program:          p,
 		TimeScale:        *timescale,
 		BytesPerUnit:     *bytesPerUnit,
-		Fanout:           netcast.FanoutMode(*fanout),
 		RingCapacity:     *ringCapacity,
 		ResyncLimit:      *resyncLimit,
 		ClientRateLimit:  *clientRate,

@@ -123,12 +123,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestFanoutFlags: both fan-out modes and the limit flags reach the
-// server config and still serve a verifiable broadcast.
+// TestFanoutFlags: the ring and limit flags reach the server config
+// and still serve a verifiable broadcast.
 func TestFanoutFlags(t *testing.T) {
 	for _, extra := range [][]string{
-		{"-fanout", "queue"},
-		{"-fanout", "ring", "-ring-capacity", "64", "-resync-limit", "5"},
+		{"-ring-capacity", "64", "-resync-limit", "5"},
 		{"-client-rate", "1048576", "-channel-rate", "8388608"},
 	} {
 		var out bytes.Buffer
@@ -158,9 +157,14 @@ func TestStartErrors(t *testing.T) {
 		{"-addr", "256.256.256.256:-1"},
 		{"-timescale", "-1", "-paper", "-k", "2", "-addr", "127.0.0.1:0"},
 		{"-paper", "-k", "2", "-addr", "127.0.0.1:0", "-metrics", "256.256.256.256:-1"},
-		{"-paper", "-k", "2", "-addr", "127.0.0.1:0", "-fanout", "bogus"},
 		{"-paper", "-k", "2", "-addr", "127.0.0.1:0", "-ring-capacity", "1"},
 		{"-paper", "-k", "2", "-addr", "127.0.0.1:0", "-client-rate", "-5"},
+		// flag.Float64 parses NaN and Inf; a NaN -timescale would
+		// busy-spin every caster.
+		{"-paper", "-k", "2", "-addr", "127.0.0.1:0", "-timescale", "NaN"},
+		{"-paper", "-k", "2", "-addr", "127.0.0.1:0", "-timescale", "+Inf"},
+		{"-paper", "-k", "2", "-addr", "127.0.0.1:0", "-client-rate", "NaN"},
+		{"-paper", "-k", "2", "-addr", "127.0.0.1:0", "-channel-rate", "Inf"},
 		{"-wat"},
 	}
 	for _, args := range tests {

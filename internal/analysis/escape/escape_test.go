@@ -154,9 +154,9 @@ func TestShortName(t *testing.T) {
 	cases := map[string]string{
 		"(*diversecast/internal/core.batchedSelector).repair": "(*core.batchedSelector).repair",
 		"diversecast/internal/netcast.NewServer":              "netcast.NewServer",
-		"esc.Root":      "esc.Root",
-		"hot.Apply$0":   "hot.Apply$0",
-		"(trace.Span).Active": "(trace.Span).Active",
+		"esc.Root":                                            "esc.Root",
+		"hot.Apply$0":                                         "hot.Apply$0",
+		"(trace.Span).Active":                                 "(trace.Span).Active",
 	}
 	for in, want := range cases {
 		if got := escape.ShortName(in); got != want {

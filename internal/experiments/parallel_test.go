@@ -74,4 +74,3 @@ func TestSweepWorkersValidation(t *testing.T) {
 		t.Fatal("Workers=-2 accepted")
 	}
 }
-

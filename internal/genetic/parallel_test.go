@@ -126,4 +126,3 @@ func TestEvalBatchWritesByIndex(t *testing.T) {
 		t.Fatalf("empty batch returned %d results", len(got))
 	}
 }
-

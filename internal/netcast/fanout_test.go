@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -18,23 +19,27 @@ import (
 
 func TestFanoutConfigValidation(t *testing.T) {
 	_, p := testProgram(t)
-	if _, err := Serve("127.0.0.1:0", ServerConfig{Program: p, Fanout: "carrier-pigeon"}); err == nil {
-		t.Fatal("unknown fanout mode should fail")
-	}
-	if _, err := Serve("127.0.0.1:0", ServerConfig{Program: p, RingCapacity: 1}); err == nil {
-		t.Fatal("RingCapacity 1 should fail")
-	}
-	if _, err := Serve("127.0.0.1:0", ServerConfig{Program: p, WriteBatch: -1}); err == nil {
-		t.Fatal("negative WriteBatch should fail")
-	}
-	if _, err := Serve("127.0.0.1:0", ServerConfig{Program: p, ResyncLimit: -1}); err == nil {
-		t.Fatal("negative ResyncLimit should fail")
-	}
-	if _, err := Serve("127.0.0.1:0", ServerConfig{Program: p, ClientRateLimit: -1}); err == nil {
-		t.Fatal("negative ClientRateLimit should fail")
-	}
-	if _, err := Serve("127.0.0.1:0", ServerConfig{Program: p, ChannelRateLimit: -1}); err == nil {
-		t.Fatal("negative ChannelRateLimit should fail")
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, cfg := range map[string]ServerConfig{
+		"RingCapacity 1":        {RingCapacity: 1},
+		"negative WriteBatch":   {WriteBatch: -1},
+		"negative ResyncLimit":  {ResyncLimit: -1},
+		"negative TimeScale":    {TimeScale: -1},
+		"NaN TimeScale":         {TimeScale: nan},
+		"+Inf TimeScale":        {TimeScale: inf},
+		"negative ClientRate":   {ClientRateLimit: -1},
+		"NaN ClientRate":        {ClientRateLimit: nan},
+		"+Inf ClientRate":       {ClientRateLimit: inf},
+		"negative ChannelRate":  {ChannelRateLimit: -1},
+		"NaN ChannelRate":       {ChannelRateLimit: nan},
+		"+Inf ChannelRate":      {ChannelRateLimit: inf},
+		"negative WriteTimeout": {WriteTimeout: -time.Second},
+		"negative BytesPerUnit": {BytesPerUnit: -1},
+	} {
+		cfg.Program = p
+		if _, err := cfg.withDefaults(); err == nil {
+			t.Errorf("%s should fail validation", name)
+		}
 	}
 }
 
@@ -251,9 +256,7 @@ func TestWrittenVsBroadcastAccounting(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg, err := ServerConfig{
 		Program: p, TimeScale: 0.01, Metrics: reg,
-		Fanout:           FanoutQueue,
-		SubscriberBuffer: 8,
-		WriteTimeout:     10 * time.Second,
+		WriteTimeout: 10 * time.Second,
 	}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
@@ -347,32 +350,27 @@ func captureCycleBytes(t *testing.T, addr string, channel, wantCycle int) []byte
 	}
 }
 
-// TestRingQueueParity is the differential test pinning the rearchitected
-// fan-out to the legacy path byte for byte: one full recorded cycle
-// delivered through the shared-ring server, the per-subscriber-queue
-// server, and an independent wire.WriteFrame rendering of the program
-// must be identical.
-func TestRingQueueParity(t *testing.T) {
+// TestRingWireParity is the golden-bytes test of the fan-out: one full
+// recorded cycle delivered through the shared-ring server must equal,
+// byte for byte, an independent wire.WriteFrame rendering of the
+// program — the frames the ring shares across subscribers and cycles
+// are exactly what a per-frame streaming writer would have sent.
+func TestRingWireParity(t *testing.T) {
 	_, p := testProgram(t)
-	const scale = 0.02
 	const wantCycle = 1
 
-	capture := func(mode FanoutMode) []byte {
-		srv, err := Serve("127.0.0.1:0", ServerConfig{
-			Program: p, TimeScale: scale, Fanout: mode,
-			Metrics: obs.NewRegistry(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		return captureCycleBytes(t, srv.Addr().String(), 0, wantCycle)
+	srv, err := Serve("127.0.0.1:0", ServerConfig{
+		Program: p, TimeScale: 0.02,
+		Metrics: obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	ringBytes := capture(FanoutRing)
-	queueBytes := capture(FanoutQueue)
+	defer srv.Close()
+	ringBytes := captureCycleBytes(t, srv.Addr().String(), 0, wantCycle)
 
-	// Independent oracle: render the cycle with the streaming writer
-	// the legacy path used, straight from the program.
+	// Independent oracle: render the cycle with the streaming frame
+	// writer, straight from the program.
 	var want bytes.Buffer
 	bytesPerUnit := 64 // config default
 	for _, slot := range p.Channels[0].Slots {
@@ -407,9 +405,6 @@ func TestRingQueueParity(t *testing.T) {
 		}
 	}
 
-	if !bytes.Equal(ringBytes, queueBytes) {
-		t.Fatalf("ring and queue delivery differ: %d vs %d bytes", len(ringBytes), len(queueBytes))
-	}
 	if !bytes.Equal(ringBytes, want.Bytes()) {
 		t.Fatalf("ring delivery differs from the wire.WriteFrame rendering: %d vs %d bytes",
 			len(ringBytes), want.Len())
@@ -420,7 +415,9 @@ func TestRingQueueParity(t *testing.T) {
 // deterministically over a net.Pipe and proves the ordering from the
 // trace ring: a lagging subscriber is first resynchronized (resync
 // events, MsgResync frames on the wire), and only after exhausting the
-// resync budget is it dropped with outcome "lagged".
+// resync budget is it dropped with outcome "lagged". The trace must
+// replay the connection's whole lifecycle on its one span:
+// subscribe → resync → resync → conn(outcome: lagged).
 func TestLagResyncBeforeDrop(t *testing.T) {
 	_, p := testProgram(t)
 	reg := obs.NewRegistry()
@@ -485,26 +482,38 @@ func TestLagResyncBeforeDrop(t *testing.T) {
 	if got := snap.Counter(`netcast_lag_drops_total{channel="0"}`); got != 1 {
 		t.Fatalf("lag drops = %d, want 1", got)
 	}
-	if got := snap.Counter(`netcast_queue_full_drops_total{channel="0"}`); got != 0 {
-		t.Fatalf("queue drops = %d on the ring path, want 0", got)
-	}
 
-	// The trace ring is the ordering witness: both resync events must
-	// precede the span end, and the span must close with the tier-2
+	// The trace ring is the ordering witness: exactly one subscribe
+	// event, then both resync events, then the span end — every record
+	// on the one connection span — and the span closes with the tier-2
 	// outcome.
 	tsnap := tr.Snapshot()
+	subIdx, connIdx := -1, -1
 	var resyncIdx []int
-	connIdx := -1
 	for i, r := range tsnap.Records {
+		if r.Span != sp.ID() {
+			t.Fatalf("record %s on span %d, want %d (sequence %v)", r.Name, r.Span, sp.ID(), tsnap.Sequence())
+		}
 		switch r.Name {
+		case eventNetcastSubscribe:
+			if subIdx >= 0 {
+				t.Fatalf("subscribe recorded twice (sequence %v)", tsnap.Sequence())
+			}
+			subIdx = i
+			if ch := attrInt(t, r, "channel"); ch != 0 {
+				t.Fatalf("subscribe channel = %d, want 0", ch)
+			}
 		case eventNetcastResync:
 			resyncIdx = append(resyncIdx, i)
-			if r.Span != sp.ID() {
-				t.Fatalf("resync event on span %d, want %d", r.Span, sp.ID())
-			}
 		case spanNetcastConn:
+			if connIdx >= 0 {
+				t.Fatalf("conn span recorded twice: finish double-fired (sequence %v)", tsnap.Sequence())
+			}
 			connIdx = i
 		}
+	}
+	if subIdx < 0 {
+		t.Fatalf("no subscribe event (sequence %v)", tsnap.Sequence())
 	}
 	if len(resyncIdx) != 2 {
 		t.Fatalf("resync events = %d, want 2 (sequence %v)", len(resyncIdx), tsnap.Sequence())
@@ -513,11 +522,13 @@ func TestLagResyncBeforeDrop(t *testing.T) {
 		t.Fatalf("no conn span record (sequence %v)", tsnap.Sequence())
 	}
 	for _, i := range resyncIdx {
-		if i >= connIdx {
-			t.Fatalf("resync at ring index %d does not precede the drop at %d (sequence %v)",
-				i, connIdx, tsnap.Sequence())
+		if i <= subIdx || i >= connIdx {
+			t.Fatalf("resync at ring index %d is not between subscribe %d and the drop at %d (sequence %v)",
+				i, subIdx, connIdx, tsnap.Sequence())
 		}
 	}
+	// finish is first-caller-wins: the lagged outcome must not be
+	// overwritten by the disconnect path that runs as the loop exits.
 	if out := attrStr(t, tsnap.Records[connIdx], "outcome"); out != "lagged" {
 		t.Fatalf("conn outcome = %q, want lagged", out)
 	}

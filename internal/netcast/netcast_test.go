@@ -437,15 +437,14 @@ func BenchmarkBroadcastThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Moderate pacing and deep buffers: the benchmark framework
+	// Moderate pacing and a deep ring: the benchmark framework
 	// pauses between measurement rounds, and the subscriber must not
 	// be lapped or dropped for falling behind while the harness isn't
 	// reading.
 	srv, err := Serve("127.0.0.1:0", ServerConfig{
-		Program:          p,
-		TimeScale:        0.005,
-		SubscriberBuffer: 8192,
-		RingCapacity:     8192,
+		Program:      p,
+		TimeScale:    0.005,
+		RingCapacity: 8192,
 	})
 	if err != nil {
 		b.Fatal(err)

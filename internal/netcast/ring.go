@@ -10,8 +10,8 @@ import "sync"
 // sequence number of the next frame it wants). A subscriber drains
 // ring[cursor:head] in batches; publishing is O(frames) regardless of
 // how many subscribers are attached, which is what makes 100k+
-// subscribers per channel feasible where the per-subscriber queue
-// path's O(subscribers) sends per frame were the wall.
+// subscribers per channel feasible where O(subscribers) sends per
+// frame would be the wall.
 //
 // Invariants:
 //   - head only grows; frame seq s lives at buf[s%cap] and is valid
@@ -85,6 +85,7 @@ func (r *frameRing) depth() int {
 //     a channel closed by the next publish.
 //   - batch non-empty: frames to write. lag is head-cursor at claim
 //     time, the subscriber's backlog before this drain.
+//
 //diverselint:hotpath per-drain ring claim runs under the ring mutex
 func (r *frameRing) claim(cursor uint64, max int, dst [][]byte) (batch [][]byte, next uint64, lag, skipped uint64, wait <-chan struct{}) {
 	r.mu.Lock()

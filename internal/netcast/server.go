@@ -13,14 +13,13 @@
 // subscriber lapped by the ring is resynchronized from the head (a
 // MsgResync frame announces the gap), and only a subscriber that
 // keeps getting lapped is dropped. Per-client and per-channel token
-// buckets bound egress. The legacy per-subscriber-queue path survives
-// as FanoutQueue — a parity and benchmark baseline, not a deployment
-// mode.
+// buckets bound egress.
 package netcast
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"strconv"
 	"sync"
@@ -39,25 +38,9 @@ import (
 const (
 	spanNetcastConn           = "netcast_conn"
 	eventNetcastSubscribe     = "netcast_subscribe"
-	eventNetcastQueueDrop     = "netcast_queue_drop"
 	eventNetcastAcceptRetry   = "netcast_accept_retry"
 	eventNetcastResync        = "netcast_resync"
 	eventNetcastCyclesSkipped = "netcast_cycles_skipped"
-)
-
-// FanoutMode selects the server's fan-out architecture.
-type FanoutMode string
-
-const (
-	// FanoutRing is the production path: a shared per-channel frame
-	// ring, per-subscriber cursors, batched vectored writes, and
-	// tiered backpressure (resync before drop). The default.
-	FanoutRing FanoutMode = "ring"
-	// FanoutQueue is the legacy path — one buffered frame queue and
-	// one write syscall per frame per subscriber, with a binary
-	// full-queue-means-drop policy. Retained as the differential
-	// parity oracle and the benchmark baseline.
-	FanoutQueue FanoutMode = "queue"
 )
 
 // ServerConfig parameterizes a broadcast server.
@@ -70,16 +53,14 @@ type ServerConfig struct {
 	// BytesPerUnit is the payload bytes transmitted per size unit
 	// (min 1 byte per item). Default 64.
 	BytesPerUnit int
-	// Fanout selects the fan-out architecture. Default FanoutRing.
-	Fanout FanoutMode
-	// RingCapacity is the per-channel frame ring size (FanoutRing): a
-	// subscriber more than this many frames behind is lapped and
-	// resynchronized from the head. It bounds per-channel frame
-	// retention, so it should comfortably exceed the largest one-slot
-	// burst (item payload / 4KiB chunks). Default 1024.
+	// RingCapacity is the per-channel frame ring size: a subscriber
+	// more than this many frames behind is lapped and resynchronized
+	// from the head. It bounds per-channel frame retention, so it
+	// should comfortably exceed the largest one-slot burst (item
+	// payload / 4KiB chunks). Default 1024.
 	RingCapacity int
 	// WriteBatch caps the frames coalesced into one vectored write
-	// per subscriber wakeup (FanoutRing). Default 128.
+	// per subscriber wakeup. Default 128.
 	WriteBatch int
 	// ResyncLimit is the tier-2 threshold: a subscriber lapped this
 	// many consecutive times (without draining a full ring between
@@ -93,11 +74,6 @@ type ServerConfig struct {
 	// ChannelRateLimit caps one channel's aggregate egress across all
 	// its subscribers in bytes/second. 0 means unlimited.
 	ChannelRateLimit float64
-	// SubscriberBuffer is the per-subscriber outbound frame queue in
-	// FanoutQueue mode; a subscriber that falls this far behind is
-	// disconnected rather than allowed to stall the broadcast.
-	// Default 256. Ignored by FanoutRing.
-	SubscriberBuffer int
 	// WriteTimeout bounds a single write (one frame, or one batched
 	// vectored write) to a subscriber. Default 5s.
 	WriteTimeout time.Duration
@@ -130,21 +106,14 @@ func (c ServerConfig) withDefaults() (ServerConfig, error) {
 	if c.TimeScale == 0 {
 		c.TimeScale = 1
 	}
-	if c.TimeScale < 0 {
-		return c, fmt.Errorf("netcast: negative TimeScale %v", c.TimeScale)
+	if !finiteNonNeg(c.TimeScale) {
+		return c, fmt.Errorf("netcast: TimeScale %v must be positive and finite", c.TimeScale)
 	}
 	if c.BytesPerUnit == 0 {
 		c.BytesPerUnit = 64
 	}
 	if c.BytesPerUnit < 1 {
 		return c, fmt.Errorf("netcast: BytesPerUnit %d", c.BytesPerUnit)
-	}
-	switch c.Fanout {
-	case "":
-		c.Fanout = FanoutRing
-	case FanoutRing, FanoutQueue:
-	default:
-		return c, fmt.Errorf("netcast: unknown fanout mode %q", c.Fanout)
 	}
 	if c.RingCapacity == 0 {
 		c.RingCapacity = 1024
@@ -164,20 +133,17 @@ func (c ServerConfig) withDefaults() (ServerConfig, error) {
 	if c.ResyncLimit < 1 {
 		return c, fmt.Errorf("netcast: ResyncLimit %d", c.ResyncLimit)
 	}
-	if c.ClientRateLimit < 0 {
-		return c, fmt.Errorf("netcast: ClientRateLimit %v", c.ClientRateLimit)
+	if !finiteNonNeg(c.ClientRateLimit) {
+		return c, fmt.Errorf("netcast: ClientRateLimit %v must be finite and non-negative", c.ClientRateLimit)
 	}
-	if c.ChannelRateLimit < 0 {
-		return c, fmt.Errorf("netcast: ChannelRateLimit %v", c.ChannelRateLimit)
-	}
-	if c.SubscriberBuffer == 0 {
-		c.SubscriberBuffer = 256
-	}
-	if c.SubscriberBuffer < 1 {
-		return c, fmt.Errorf("netcast: SubscriberBuffer %d", c.SubscriberBuffer)
+	if !finiteNonNeg(c.ChannelRateLimit) {
+		return c, fmt.Errorf("netcast: ChannelRateLimit %v must be finite and non-negative", c.ChannelRateLimit)
 	}
 	if c.WriteTimeout == 0 {
 		c.WriteTimeout = 5 * time.Second
+	}
+	if c.WriteTimeout < 0 {
+		return c, fmt.Errorf("netcast: negative WriteTimeout %v", c.WriteTimeout)
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.Default()
@@ -186,6 +152,13 @@ func (c ServerConfig) withDefaults() (ServerConfig, error) {
 		c.Tracer = trace.Default()
 	}
 	return c, nil
+}
+
+// finiteNonNeg reports whether x lies in [0, +Inf). NaN fails the
+// ordered comparison, so it is rejected too: a NaN TimeScale would put
+// every pacing deadline in the past and busy-spin the casters.
+func finiteNonNeg(x float64) bool {
+	return x >= 0 && !math.IsInf(x, 1)
 }
 
 // serverMetrics holds the server-wide counters, resolved once at
@@ -213,19 +186,18 @@ func newServerMetrics(r *obs.Registry) serverMetrics {
 // per-channel fan-out input, counted once per frame regardless of how
 // many subscribers receive it.
 type casterMetrics struct {
-	subsAdded      *obs.Counter
-	subsDropped    *obs.Counter
-	queueDrops     *obs.Counter
-	framesSent     *obs.Counter
-	bytesSent      *obs.Counter
+	subsAdded       *obs.Counter
+	subsDropped     *obs.Counter
+	framesSent      *obs.Counter
+	bytesSent       *obs.Counter
 	framesBroadcast *obs.Counter
 	bytesBroadcast  *obs.Counter
-	resyncs        *obs.Counter
-	lagDrops       *obs.Counter
-	cyclesSkipped  *obs.Counter
-	subscribers    *obs.Gauge
-	ringDepth      *obs.Gauge
-	lagFrames      *obs.Histogram
+	resyncs         *obs.Counter
+	lagDrops        *obs.Counter
+	cyclesSkipped   *obs.Counter
+	subscribers     *obs.Gauge
+	ringDepth       *obs.Gauge
+	lagFrames       *obs.Histogram
 }
 
 func newCasterMetrics(r *obs.Registry, channel, ringCapacity int) casterMetrics {
@@ -235,8 +207,6 @@ func newCasterMetrics(r *obs.Registry, channel, ringCapacity int) casterMetrics 
 			"subscribers registered on the channel", "channel", ch),
 		subsDropped: r.Counter("netcast_subscribers_dropped_total",
 			"subscribers removed (disconnect, lag drop, or shutdown)", "channel", ch),
-		queueDrops: r.Counter("netcast_queue_full_drops_total",
-			"subscribers dropped for falling a full queue behind (queue fanout)", "channel", ch),
 		framesSent: r.Counter("netcast_frames_sent_total",
 			"frames written to subscriber connections", "channel", ch),
 		bytesSent: r.Counter("netcast_bytes_sent_total",
@@ -531,10 +501,9 @@ func (s *Server) failHandshake(conn net.Conn, sp trace.Span, reason string) {
 	conn.Close()
 }
 
-// subscriber owns one client connection. In ring mode its state is a
-// cursor into the channel's shared frame ring plus the backpressure
-// tier bookkeeping; in queue mode it owns a buffered outbound frame
-// queue.
+// subscriber owns one client connection. Its state is a cursor into
+// the channel's shared frame ring plus the backpressure tier
+// bookkeeping.
 type subscriber struct {
 	conn  net.Conn
 	done  chan struct{}
@@ -553,7 +522,7 @@ type subscriber struct {
 
 	// Cost-attribution state: tunedAt is the registration instant
 	// (zero when telemetry is off); sawBegin and delivered drive the
-	// first-complete-delivery detection in the write loops — a
+	// first-complete-delivery detection in the write loop — a
 	// delivery only counts once a MsgItemBegin has been seen, so a
 	// mid-slot joiner's orphaned MsgItemEnd (whose payload it missed)
 	// is not mistaken for one. All written only by the subscriber's
@@ -565,19 +534,16 @@ type subscriber struct {
 	//diverselint:guard none owned by the subscriber's single writer goroutine after registration
 	delivered bool
 
-	// cursor is the ring-mode read position: the sequence number of
-	// the next frame this subscriber wants. resyncStreak counts
-	// consecutive laps; sentSinceResync clears the streak once the
-	// subscriber has proven it can keep pace for a full ring.
+	// cursor is the read position: the sequence number of the next
+	// frame this subscriber wants. resyncStreak counts consecutive
+	// laps; sentSinceResync clears the streak once the subscriber has
+	// proven it can keep pace for a full ring.
 	//diverselint:guard none owned by the subscriber's single writer goroutine after registration
 	cursor uint64
 	//diverselint:guard none owned by the subscriber's single writer goroutine after registration
 	resyncStreak int
 	//diverselint:guard none owned by the subscriber's single writer goroutine after registration
 	sentSinceResync int
-
-	// out is the queue-mode outbound frame buffer.
-	out chan []byte
 
 	// span is the connection's netcast_conn span (inactive when
 	// tracing is off); frames counts written frames for its closing
@@ -595,8 +561,7 @@ func (sub *subscriber) close() {
 }
 
 // finish ends the connection span with the close reason; the first
-// caller (lag drop, queue drop, shutdown, or disconnect) determines
-// the outcome.
+// caller (lag drop, shutdown, or disconnect) determines the outcome.
 func (sub *subscriber) finish(outcome string) {
 	sub.finishOnce.Do(func() {
 		if sub.span.Active() {
@@ -785,43 +750,15 @@ func (sub *subscriber) ringLoop(ca *caster) {
 	}
 }
 
-// queueLoop drains the legacy per-subscriber queue onto the socket,
-// one frame write at a time.
-func (sub *subscriber) queueLoop(ca *caster) {
-	defer sub.close()
-	for {
-		select {
-		case <-sub.done:
-			return
-		case f := <-sub.out:
-			if err := sub.conn.SetWriteDeadline(time.Now().Add(sub.wrTmo)); err != nil {
-				return
-			}
-			if _, err := sub.conn.Write(f); err != nil {
-				return
-			}
-			ca.met.framesSent.Inc()
-			ca.met.bytesSent.Add(int64(len(f)))
-			if sub.span.Active() {
-				sub.frames.Add(1)
-			}
-			if ca.mon != nil && !sub.delivered {
-				sub.observeFrame(ca, f)
-			}
-		}
-	}
-}
-
 // caster plays one channel's cycle to its subscriber set.
 type caster struct {
 	srv     *Server
 	channel int
 	epoch   time.Time
 	met     casterMetrics
-	// ring is the shared frame ring (FanoutRing mode; nil in queue
-	// mode). chanLimit is the channel-wide egress bucket (nil when
-	// unlimited). mon is the optional cost monitor (nil when
-	// telemetry is off).
+	// ring is the shared frame ring. chanLimit is the channel-wide
+	// egress bucket (nil when unlimited). mon is the optional cost
+	// monitor (nil when telemetry is off).
 	ring      *frameRing
 	chanLimit *tokenBucket
 	mon       *costmon.Monitor
@@ -838,11 +775,9 @@ func newCaster(srv *Server, channel int, epoch time.Time) *caster {
 	ca := &caster{
 		srv: srv, channel: channel, epoch: epoch,
 		met:  newCasterMetrics(srv.cfg.Metrics, channel, srv.cfg.RingCapacity),
+		ring: newFrameRing(srv.cfg.RingCapacity),
 		subs: make(map[*subscriber]struct{}),
 		mon:  srv.cfg.CostMonitor,
-	}
-	if srv.cfg.Fanout == FanoutRing {
-		ca.ring = newFrameRing(srv.cfg.RingCapacity)
 	}
 	if srv.cfg.ChannelRateLimit > 0 {
 		ca.chanLimit = newTokenBucket(srv.cfg.ChannelRateLimit, srv.cfg.ChannelRateLimit)
@@ -869,17 +804,12 @@ func (ca *caster) add(conn net.Conn, sp trace.Span, pos int) bool {
 	if ca.srv.cfg.ClientRateLimit > 0 {
 		sub.limit = newTokenBucket(ca.srv.cfg.ClientRateLimit, ca.srv.cfg.ClientRateLimit)
 	}
-	if ca.ring == nil {
-		sub.out = make(chan []byte, ca.srv.cfg.SubscriberBuffer)
-	}
 	ca.mu.Lock()
 	if ca.closed {
 		ca.mu.Unlock()
 		return false
 	}
-	if ca.ring != nil {
-		sub.cursor = ca.ring.headSeq()
-	}
+	sub.cursor = ca.ring.headSeq()
 	ca.subs[sub] = struct{}{}
 	// The subscriber metrics move in lockstep with the registration
 	// map, under the same lock: a dropAll racing with add must never
@@ -901,11 +831,7 @@ func (ca *caster) add(conn net.Conn, sp trace.Span, pos int) bool {
 	//diverselint:ignore detrand first-delivery waits are intrinsically wall-clock: sub.tunedAt anchors a realized latency measurement and never feeds a simulated cost
 	go func() {
 		defer ca.srv.wg.Done()
-		if ca.ring != nil {
-			sub.ringLoop(ca)
-		} else {
-			sub.queueLoop(ca)
-		}
+		sub.ringLoop(ca)
 		ca.remove(sub)
 	}()
 	return true
@@ -942,11 +868,8 @@ func (ca *caster) dropAll() {
 	}
 }
 
-// publish hands one batch of pre-encoded frames to the fan-out path.
-// Ring mode appends to the shared ring — O(frames), independent of
-// subscriber count. Queue mode (legacy) enqueues per subscriber; one
-// that has fallen a full buffer behind is dropped (the broadcast never
-// blocks on a client).
+// publish appends one batch of pre-encoded frames to the channel's
+// shared ring — O(frames), independent of subscriber count.
 func (ca *caster) publish(frames ...[]byte) {
 	n := 0
 	for _, f := range frames {
@@ -954,39 +877,8 @@ func (ca *caster) publish(frames ...[]byte) {
 	}
 	ca.met.framesBroadcast.Add(int64(len(frames)))
 	ca.met.bytesBroadcast.Add(int64(n))
-	if ca.ring != nil {
-		ca.ring.publish(frames...)
-		ca.met.ringDepth.Set(int64(ca.ring.depth()))
-		return
-	}
-	var drop []*subscriber
-	ca.mu.Lock()
-	for sub := range ca.subs {
-		dropped := false
-		for _, f := range frames {
-			select {
-			case sub.out <- f:
-			default:
-				dropped = true
-			}
-			if dropped {
-				//diverselint:ignore loopalloc grows only when a subscriber's queue overflows; the drop path already pays a disconnect
-				drop = append(drop, sub)
-				break
-			}
-		}
-	}
-	ca.mu.Unlock()
-	ca.met.queueDrops.Add(int64(len(drop)))
-	for _, sub := range drop {
-		if sub.span.Active() {
-			sub.span.Event(eventNetcastQueueDrop,
-				trace.Int("channel", int64(ca.channel)),
-				trace.Int("queue", int64(cap(sub.out))))
-		}
-		sub.finish("queue_full")
-		ca.remove(sub)
-	}
+	ca.ring.publish(frames...)
+	ca.met.ringDepth.Set(int64(ca.ring.depth()))
 }
 
 // sleepUntil waits for the virtual-time offset (seconds since epoch,
@@ -1016,7 +908,7 @@ func (ca *caster) sleepUntil(virtualOffset float64) bool {
 // catchUp is the stall defense: after a pause that left the schedule
 // at least one full cycle behind wall-clock (GC pause, suspended VM,
 // debugger stop), replaying every stale slot back-to-back would blast
-// frames and trigger queue-drop/resync storms. Instead the caster
+// frames and trigger resync/lag-drop storms. Instead the caster
 // skips ahead to the cycle the wall clock says is current, counts the
 // skipped cycles, and resumes paced broadcasting there. Intra-cycle
 // lag (less than one cycle) still replays fast — a bounded burst.

@@ -8,9 +8,12 @@ import (
 	"diversecast/internal/wire"
 )
 
-// A subscriber that never reads must be dropped once it falls a full
-// send-queue behind — and must not disturb other subscribers. This is
-// the server's head-of-line-blocking defense.
+// A subscriber that never reads must be dropped — and must not disturb
+// other subscribers. This is the server's head-of-line-blocking
+// defense: the stalled subscriber's write loop blocks on a full socket
+// until its write deadline expires (or it is lapped by the ring past
+// the resync budget), and it is cut loose while the caster and every
+// other subscriber's cursor keep moving.
 func TestSlowSubscriberIsDroppedNotBlocking(t *testing.T) {
 	_, p := testProgram(t)
 	srv, err := Serve("127.0.0.1:0", ServerConfig{
@@ -19,12 +22,11 @@ func TestSlowSubscriberIsDroppedNotBlocking(t *testing.T) {
 		// Large payloads fill the stalled connection's kernel socket
 		// buffer within a few cycles, after which its writer blocks
 		// until the write deadline expires and the subscriber is
-		// dropped. The buffer stays at a size that absorbs the
-		// per-item chunk bursts (~33 frames) a healthy, draining
-		// subscriber also sees.
-		BytesPerUnit:     16384,
-		SubscriberBuffer: 512,
-		WriteTimeout:     500 * time.Millisecond,
+		// dropped. The default ring comfortably absorbs the per-item
+		// chunk bursts (~33 frames) a healthy, draining subscriber
+		// also sees.
+		BytesPerUnit: 16384,
+		WriteTimeout: 500 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -29,79 +29,6 @@ func attrInt(t *testing.T, r trace.Record, key string) int64 {
 	return a.Int
 }
 
-// TestQueueDropLifecycleSequence drives the legacy queue path's
-// slow-client defense deterministically and asserts the trace the
-// ring replays: subscribe → queue_drop → conn span closed with
-// outcome queue_full. A net.Pipe peer that never reads blocks the
-// write loop on its first frame, so the queue (capacity 2) absorbs at
-// most three publishes and the fourth must drop the subscriber.
-func TestQueueDropLifecycleSequence(t *testing.T) {
-	_, p := testProgram(t)
-	tr := trace.New(trace.Config{Capacity: 64})
-	cfg, err := ServerConfig{
-		Program: p, TimeScale: 0.01,
-		Metrics:          obs.NewRegistry(),
-		Tracer:           tr,
-		Fanout:           FanoutQueue,
-		SubscriberBuffer: 2,
-		WriteTimeout:     50 * time.Millisecond,
-	}.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newServer(cfg, nil)
-	ca := newCaster(s, 0, time.Now())
-
-	server, client := net.Pipe()
-	defer client.Close()
-	sp := tr.Start(spanNetcastConn, trace.Str("peer", "pipe"))
-	if !ca.add(server, sp, -1) {
-		t.Fatal("caster refused the subscriber")
-	}
-	frame, err := wire.EncodeFrame(wire.MsgItemChunk, []byte("payload"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		ca.publish(frame)
-	}
-	s.wg.Wait() // the drop closed the connection; the write loop exits
-
-	snap := tr.Snapshot()
-	subs := snap.Named("netcast_subscribe")
-	if len(subs) != 1 {
-		t.Fatalf("subscribe events = %d, want 1 (sequence %v)", len(subs), snap.Sequence())
-	}
-	if ch := attrInt(t, subs[0], "channel"); ch != 0 {
-		t.Fatalf("subscribe channel = %d, want 0", ch)
-	}
-	drops := snap.Named("netcast_queue_drop")
-	if len(drops) != 1 {
-		t.Fatalf("queue_drop events = %d, want 1 (sequence %v)", len(drops), snap.Sequence())
-	}
-	if q := attrInt(t, drops[0], "queue"); q != 2 {
-		t.Fatalf("queue_drop queue = %d, want 2", q)
-	}
-	conns := snap.Named("netcast_conn")
-	if len(conns) != 1 {
-		t.Fatalf("conn spans = %d, want 1 (sequence %v)", len(conns), snap.Sequence())
-	}
-	// finish is first-caller-wins: the queue_full outcome must not be
-	// overwritten by the disconnect path that runs as the loop exits.
-	if out := attrStr(t, conns[0], "outcome"); out != "queue_full" {
-		t.Fatalf("conn outcome = %q, want queue_full", out)
-	}
-	if f := attrInt(t, conns[0], "frames"); f < 0 || f > 3 {
-		t.Fatalf("conn frames = %d, want 0..3 (queue 2 + 1 in flight)", f)
-	}
-	// All three records belong to the one connection span.
-	for _, r := range []trace.Record{subs[0], drops[0], conns[0]} {
-		if r.Span != sp.ID() {
-			t.Fatalf("record %s on span %d, want %d", r.Name, r.Span, sp.ID())
-		}
-	}
-}
-
 // TestShutdownLifecycleSequence closes a live server under tuned
 // clients and asserts every connection span ends exactly once with
 // outcome shutdown — the ring is the witness that dropAll reached

@@ -199,6 +199,7 @@ func (r *Registry) Snapshot() Snapshot {
 // WriteText renders the registry in the Prometheus text exposition
 // format (version 0.0.4): HELP/TYPE headers per family, one line per
 // series, histograms as cumulative le-buckets plus _sum and _count.
+//
 //diverselint:coldpath scrape-path text exposition render, not per-sample
 func (r *Registry) WriteText(w io.Writer) error {
 	r.mu.Lock()
@@ -236,6 +237,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 // writeHistogramText renders one histogram series: cumulative buckets
 // at each bin upper edge (underflow mass is below the first edge, so
 // it is included from the first bucket on), then +Inf, _sum, _count.
+//
 //diverselint:coldpath scrape-path text exposition render, not per-sample
 func writeHistogramText(b *strings.Builder, name, labels string, h HistogramSnapshot) {
 	binSize := (h.Hi - h.Lo) / float64(len(h.Bins))

@@ -34,6 +34,7 @@ type chromeDoc struct {
 // run ID, its span ID, and its parent link in args, so one file from
 // one run correlates DRP splits, CDS moves, broadcast cycles, and
 // connection lifecycles on a single timeline.
+//
 //diverselint:coldpath post-run trace export, never on the traced path itself
 func WriteChrome(w io.Writer, snap Snapshot) error {
 	doc := chromeDoc{
@@ -84,6 +85,7 @@ func WriteChrome(w io.Writer, snap Snapshot) error {
 // WriteText renders the snapshot as a human-readable timeline: one
 // line per record ordered by start time (emission order breaks ties),
 // with millisecond offsets, span durations, and attributes.
+//
 //diverselint:coldpath post-run trace export, never on the traced path itself
 func WriteText(w io.Writer, snap Snapshot) error {
 	recs := make([]Record, len(snap.Records))

@@ -136,6 +136,7 @@ type Snapshot struct {
 
 // Named returns the snapshot's records with the given name, in
 // emission order.
+//
 //diverselint:coldpath snapshot query helper for tests and post-run analysis
 func (s Snapshot) Named(name string) []Record {
 	var out []Record
