@@ -7,22 +7,18 @@
 // command produces one self-describing artifact:
 //
 //   - CDSScale: the production-scale CDS grid comparing the naive
-//     full rescan against the incremental candidate table (N up to
-//     10k, K up to 64), plus the derived naive/incremental speedups.
-//     Full runs add the large-N cells: N=10^5/K=256 comparing strict
-//     descent against the batched mode, and an N=10^6/K=1024 batched
-//     cell pinned to one iteration. Every CDS result carries the
-//     engine's strategy, shard width (workers, the GOMAXPROCS it ran
-//     under) and batch size, so a single-core run is attributable as
-//     such: the sharded sweeps can only fold wall clock when
-//     GOMAXPROCS grants real cores.
-//   - CDSParallel: shard-width scaling cells for the default engine
-//     (GOMAXPROCS set per cell) plus the bit-identity gate — the
-//     refinements at GOMAXPROCS 1 (serial sweeps) and 8 (sharded)
-//     must produce identical move traces down to the float bits, in
-//     strict and in batched mode. A mismatch fails the run (nonzero
-//     exit), so CI enforces the determinism contract, not just the
-//     tests.
+//     full rescan against the incremental pair-champion table (N up
+//     to 10k, K up to 64), plus the derived naive/incremental
+//     speedups. Full runs add two large-N cells for the default
+//     engine: N=10^5/K=256, and N=10^6/K=1024 pinned to one
+//     iteration. Every CDS result carries the engine's strategy and
+//     the GOMAXPROCS it ran under.
+//   - CDSIdentity: the bit-identity gate — full refinements (no move
+//     bound) with the naive oracle and with the default engine, at
+//     N=2000 and K∈{8,64} from DRP and random starts, plus the
+//     paper's worked example, must produce identical move traces down
+//     to the float bits. A mismatch fails the run (nonzero exit), so
+//     CI enforces the trace contract, not just the tests.
 //   - Tables2to4: the paper's worked example (DRP + CDS, cost 22.29).
 //   - Figure6/Figure7: the execution-time comparisons over K and N
 //     with GOPT pinned to Workers: 1 — timing figures measure
@@ -50,9 +46,9 @@
 //
 // Examples:
 //
-//	bcastbench -out BENCH_10.json
+//	bcastbench -out BENCH_19.json
 //	bcastbench -quick -benchtime 1x            # CI: smallest honest signal
-//	bcastbench -quick -family cdsparallel      # CI: the bit-identity gate
+//	bcastbench -quick -family cdsidentity      # CI: the bit-identity gate
 //	bcastbench -quick -family telemetry       # CI: the costmon overhead gate
 package main
 
@@ -70,18 +66,14 @@ import (
 
 	"diversecast/internal/core"
 	"diversecast/internal/gopt"
-	"diversecast/internal/obs"
 	"diversecast/internal/obs/trace"
 	"diversecast/internal/workload"
 )
 
 // benchResult is one benchmark's measurements; Metrics carries the
 // custom b.ReportMetric values (cost, Wb_s). The CDS cells also record
-// the engine configuration and the GOMAXPROCS they ran under so a
-// reader can tell a single-core artifact from a multi-core one without
-// guessing: the engine shards its large sweeps GOMAXPROCS wide, so
-// Workers is that width, and a cell measured at gomaxprocs=1 ran every
-// sweep inline.
+// the engine and the GOMAXPROCS they ran under so a reader can tell a
+// single-core artifact from a multi-core one without guessing.
 type benchResult struct {
 	Name        string             `json:"name"`
 	Iterations  int                `json:"iterations"`
@@ -89,8 +81,6 @@ type benchResult struct {
 	BytesPerOp  int64              `json:"bytes_per_op"`
 	AllocsPerOp int64              `json:"allocs_per_op"`
 	Strategy    string             `json:"strategy,omitempty"`
-	Workers     int                `json:"workers,omitempty"`
-	BatchSize   int                `json:"batch_size,omitempty"`
 	GOMAXPROCS  int                `json:"gomaxprocs,omitempty"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
@@ -132,21 +122,11 @@ func (r *report) record(name string, br testing.BenchmarkResult) *benchResult {
 	return &r.Results[len(r.Results)-1]
 }
 
-// tagCDS stamps a CDS cell's result with the engine configuration it
-// measured: strategy, batch size, and the GOMAXPROCS it ran under,
-// which is also the engine's shard width.
+// tagCDS stamps a CDS cell's result with the engine it measured and
+// the GOMAXPROCS it ran under.
 func tagCDS(res *benchResult, c *core.CDS) {
 	res.Strategy = c.Strategy.String()
-	res.Workers = runtime.GOMAXPROCS(0)
-	res.BatchSize = c.BatchSize
-	res.GOMAXPROCS = res.Workers
-}
-
-// withProcs runs fn under GOMAXPROCS procs — the default CDS engine's
-// shard width — and restores the previous setting.
-func withProcs(procs int, fn func() error) error {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	return fn()
+	res.GOMAXPROCS = runtime.GOMAXPROCS(0)
 }
 
 func main() {
@@ -159,10 +139,10 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("bcastbench", flag.ContinueOnError)
 	fs.SetOutput(out)
-	outPath := fs.String("out", "BENCH_10.json", "report path ('-' for stdout)")
+	outPath := fs.String("out", "BENCH_19.json", "report path ('-' for stdout)")
 	quick := fs.Bool("quick", false, "reduced grid: skip the large-N cells and the GOPT timing columns")
 	benchTime := fs.String("benchtime", "", "per-benchmark time or iteration budget (default 3x, 1x with -quick)")
-	family := fs.String("family", "", "run only one family: cds, cdsparallel, tables, figures, trace, fanout or telemetry (empty = all)")
+	family := fs.String("family", "", "run only one family: cds, cdsidentity, tables, figures, trace, fanout or telemetry (empty = all)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -194,17 +174,17 @@ func run(args []string, out io.Writer) error {
 
 	want := func(name string) bool { return *family == "" || *family == name }
 	switch *family {
-	case "", "cds", "cdsparallel", "tables", "figures", "trace", "fanout", "telemetry":
+	case "", "cds", "cdsidentity", "tables", "figures", "trace", "fanout", "telemetry":
 	default:
-		return fmt.Errorf("unknown family %q (want cds, cdsparallel, tables, figures, trace, fanout or telemetry)", *family)
+		return fmt.Errorf("unknown family %q (want cds, cdsidentity, tables, figures, trace, fanout or telemetry)", *family)
 	}
 	if want("cds") {
 		if err := cdsScale(rep, *quick, bt); err != nil {
 			return err
 		}
 	}
-	if want("cdsparallel") {
-		if err := cdsParallel(rep, *quick); err != nil {
+	if want("cdsidentity") {
+		if err := cdsIdentity(rep); err != nil {
 			return err
 		}
 	}
@@ -330,7 +310,7 @@ func benchCDS(rep *report, name string, cds *core.CDS, a *core.Allocation) (floa
 // cdsScale runs the CDSScale grid and derives per-cell speedups.
 // MaxMoves pins the amount of optimization work per op exactly like
 // BenchmarkCDSScale (keep the constant in sync with bench_test.go).
-// Full runs append the large-N parallel cells; bt is the surrounding
+// Full runs append the large-N cells; bt is the surrounding
 // -benchtime budget, restored after the N=10^6 cell pins itself to a
 // single iteration.
 func cdsScale(rep *report, quick bool, bt string) error {
@@ -365,15 +345,10 @@ func cdsScale(rep *report, quick bool, bt string) error {
 		return nil
 	}
 
-	// Large-N cells: the sizes the sharded sweeps and the batched mode
-	// exist for. The naive engine is excluded (an O(N·K) sweep per
-	// selection is hours here); strict descent is the baseline.
-	// MaxMoves=1000 keeps a cell in whole seconds while amortizing the
-	// one-time table build enough that the per-move machinery
-	// dominates. The derived speedup divides the baseline by the
-	// batched mode (relaxed descent, same-cost guarantee per move
-	// only): fewer table repairs per move, a per-core-independent
-	// saving. Both cells shard at the process GOMAXPROCS.
+	// Large-N cells. The naive engine is excluded (an O(N·K) sweep per
+	// selection is hours here). MaxMoves=1000 keeps a cell in whole
+	// seconds while amortizing the one-time table build enough that the
+	// per-move machinery dominates.
 	{
 		const bigN, bigK, bigMoves = 100000, 256, 1000
 		db := workload.Config{N: bigN, Theta: 0.8, Phi: 2, Seed: 1}.MustGenerate()
@@ -381,20 +356,9 @@ func cdsScale(rep *report, quick bool, bt string) error {
 		if err != nil {
 			return err
 		}
-		base := fmt.Sprintf("CDSScale/N=%d/K=%d/", bigN, bigK)
-		incr, err := benchCDS(rep, base+"incremental",
-			&core.CDS{Strategy: core.StrategyIncremental, MaxMoves: bigMoves}, a)
-		if err != nil {
+		name := fmt.Sprintf("CDSScale/N=%d/K=%d/incremental", bigN, bigK)
+		if _, err := benchCDS(rep, name, &core.CDS{MaxMoves: bigMoves}, a); err != nil {
 			return err
-		}
-		bat, err := benchCDS(rep, base+"incremental/B=64",
-			&core.CDS{BatchSize: 64, MaxMoves: bigMoves}, a)
-		if err != nil {
-			return err
-		}
-		cell := fmt.Sprintf("/N=%d/K=%d", bigN, bigK)
-		if bat > 0 {
-			rep.Derived["cds_batched_speedup"+cell] = incr / bat
 		}
 	}
 
@@ -413,9 +377,8 @@ func cdsScale(rep *report, quick bool, bt string) error {
 		if err != nil {
 			return err
 		}
-		name := fmt.Sprintf("CDSScale/N=%d/K=%d/incremental/B=64", hugeN, hugeK)
-		cds := &core.CDS{BatchSize: 64, MaxMoves: hugeMoves}
-		if _, err := benchCDS(rep, name, cds, a); err != nil {
+		name := fmt.Sprintf("CDSScale/N=%d/K=%d/incremental", hugeN, hugeK)
+		if _, err := benchCDS(rep, name, &core.CDS{MaxMoves: hugeMoves}, a); err != nil {
 			return err
 		}
 	}
@@ -423,15 +386,15 @@ func cdsScale(rep *report, quick bool, bt string) error {
 }
 
 // sameMoves reports whether two move traces are bit-for-bit identical:
-// same length, and every move agrees on position, groups, batch
-// ordinal and the exact float bits of its Δc and cost chain.
+// same length, and every move agrees on position, groups and the exact
+// float bits of its Δc and cost chain.
 func sameMoves(a, b []core.Move) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
 		x, y := a[i], b[i]
-		if x.Pos != y.Pos || x.From != y.From || x.To != y.To || x.Batch != y.Batch ||
+		if x.Pos != y.Pos || x.From != y.From || x.To != y.To ||
 			math.Float64bits(x.Reduction) != math.Float64bits(y.Reduction) ||
 			math.Float64bits(x.CostBefore) != math.Float64bits(y.CostBefore) ||
 			math.Float64bits(x.CostAfter) != math.Float64bits(y.CostAfter) {
@@ -441,117 +404,56 @@ func sameMoves(a, b []core.Move) bool {
 	return true
 }
 
-// cdsParallel runs the shard-width scaling cells and the bit-identity
-// gate. The default engine shards its large sweeps GOMAXPROCS wide, so
-// every cell sets GOMAXPROCS for its duration. The gate is the
-// determinism contract enforced where CI can see it: the same
-// refinement at GOMAXPROCS 1 (every sweep inline) and 8 (sweeps
-// sharded, checked on the engine's sharded-sweep counter) must produce
-// bit-for-bit identical move traces, in strict and in batched mode.
-// Any divergence returns an error before the report gates, failing the
-// run. The gate needs no multi-core host — sharding is by index, so a
-// single core exercises the same shard boundaries and reduction order.
-//
-// Strict moves shard only when their two touched groups are large
-// (core's cdsShardMinGroup), so the strict gate and scaling cells run
-// at K=8; the batched cells and the baseline cell keep the family's
-// many-channel instance.
-func cdsParallel(rep *report, quick bool) error {
-	n, k, maxMoves, batch := 20000, 64, 200, 32
-	if quick {
-		n, k, maxMoves = 6000, 32, 60
-	}
-	const strictK = 8
-	db := workload.Config{N: n, Theta: 0.8, Phi: 2, Seed: 1}.MustGenerate()
-	a, err := randomAllocation(db, k, 7)
-	if err != nil {
-		return err
-	}
-	narrow, err := randomAllocation(db, strictK, 7)
-	if err != nil {
-		return err
-	}
-
-	for _, g := range []struct {
-		mode  string
-		cds   *core.CDS
+// cdsIdentity is the bit-identity gate: full refinements (no move
+// bound) with the naive oracle and with the default engine must
+// produce the same move trace down to the float bits, at N=2000 with
+// K=8 and K=64 from DRP and from random starts, and on the paper's
+// worked example. Any divergence returns an error before the report
+// is written, failing the run. The derived cds_identity_moves/<case>
+// values record how many moves each compared trace holds.
+func cdsIdentity(rep *report) error {
+	type gateCase struct {
+		name  string
 		start *core.Allocation
-	}{
-		{"strict", &core.CDS{MaxMoves: maxMoves}, narrow},
-		{"batched", &core.CDS{BatchSize: batch, MaxMoves: maxMoves}, a},
-	} {
-		var traces [2][]core.Move
-		var sweeps [2]int64
-		for i, procs := range []int{1, 8} {
-			before := shardedSweeps()
-			err := withProcs(procs, func() (err error) {
-				_, traces[i], err = g.cds.RefineWithTrace(g.start)
-				return err
-			})
-			if err != nil {
-				return err
-			}
-			sweeps[i] = shardedSweeps() - before
-		}
-		if sweeps[0] != 0 || sweeps[1] == 0 {
-			return fmt.Errorf("bit-identity gate: %s mode sharded %d sweeps at GOMAXPROCS=1 and %d at GOMAXPROCS=8; the gate needs serial vs sharded", g.mode, sweeps[0], sweeps[1])
-		}
-		if !sameMoves(traces[0], traces[1]) {
-			return fmt.Errorf("bit-identity gate: %s traces diverge between GOMAXPROCS=1 and GOMAXPROCS=8 (N=%d K=%d B=%d, %d vs %d moves)", g.mode, n, g.start.K(), g.cds.BatchSize, len(traces[0]), len(traces[1]))
-		}
-		rep.Derived["cds_"+g.mode+"_bit_identity_moves"] = float64(len(traces[0]))
 	}
-
-	// Timing cells: the engine at the process GOMAXPROCS (the baseline
-	// cell), strict descent at increasing shard widths on the K=8
-	// instance, then the batched mode. Quick runs keep one cell per
-	// engine mode at two widths — enough for CI to notice a regression
-	// sign, not to measure scaling.
-	workers := []int{1, 2, 4, 8}
-	batches := []int{8, 32}
-	if quick {
-		workers = []int{1, 8}
-		batches = []int{batch}
+	var cases []gateCase
+	const n = 2000
+	db := workload.Config{N: n, Theta: 0.8, Phi: 2, Seed: 1}.MustGenerate()
+	for _, k := range []int{8, 64} {
+		drp, err := core.NewDRP().Allocate(db, k)
+		if err != nil {
+			return err
+		}
+		random, err := randomAllocation(db, k, 7)
+		if err != nil {
+			return err
+		}
+		cases = append(cases,
+			gateCase{fmt.Sprintf("N=%d/K=%d/drp", n, k), drp},
+			gateCase{fmt.Sprintf("N=%d/K=%d/random", n, k), random})
 	}
-	base := fmt.Sprintf("CDSParallel/N=%d/K=%d/", n, k)
-	incr, err := benchCDS(rep, base+"incremental", &core.CDS{MaxMoves: maxMoves}, a)
+	paper, err := core.NewDRPExampleConsistent().Allocate(core.PaperExampleDatabase(), core.PaperExampleK)
 	if err != nil {
 		return err
 	}
-	var serial float64
-	for _, w := range workers {
-		err := withProcs(w, func() error {
-			ns, err := benchCDS(rep, fmt.Sprintf("CDSParallel/N=%d/K=%d/W=%d", n, strictK, w), &core.CDS{MaxMoves: maxMoves}, narrow)
-			if w == 1 {
-				serial = ns
-			}
-			if ns > 0 && serial > 0 {
-				rep.Derived[fmt.Sprintf("cds_parallel_speedup_w%d/N=%d/K=%d", w, n, strictK)] = serial / ns
-			}
-			return err
-		})
+	cases = append(cases, gateCase{"paper", paper})
+
+	for _, c := range cases {
+		_, naive, err := (&core.CDS{Strategy: core.StrategyNaive}).RefineWithTrace(c.start)
 		if err != nil {
 			return err
 		}
-	}
-	for _, bsz := range batches {
-		err := withProcs(8, func() error {
-			ns, err := benchCDS(rep, fmt.Sprintf("%sW=8/B=%d", base, bsz), &core.CDS{BatchSize: bsz, MaxMoves: maxMoves}, a)
-			if ns > 0 {
-				rep.Derived[fmt.Sprintf("cds_batched_speedup_b%d/N=%d/K=%d", bsz, n, k)] = incr / ns
-			}
-			return err
-		})
+		_, incr, err := core.NewCDS().RefineWithTrace(c.start)
 		if err != nil {
 			return err
 		}
+		if !sameMoves(naive, incr) {
+			return fmt.Errorf("bit-identity gate: %s: the default engine's trace diverges from naive's (%d vs %d moves)", c.name, len(incr), len(naive))
+		}
+		fmt.Fprintf(os.Stderr, "%-48s %12d moves identical\n", "CDSIdentity/"+c.name, len(naive))
+		rep.Derived["cds_identity_moves/"+c.name] = float64(len(naive))
 	}
 	return nil
-}
-
-// shardedSweeps reads the CDS engine's sharded-sweep counter.
-func shardedSweeps() int64 {
-	return obs.Default().Snapshot().Counter("core_cds_parallel_sweeps_total")
 }
 
 // tables2to4 reproduces the paper's worked example end to end and

@@ -59,37 +59,25 @@ func (f *DBFlags) Load() (*core.Database, map[int]string, error) {
 }
 
 // CDSFlags selects the CDS move-selection engine for the drp-cds/cds
-// algorithms: strategy name and batch size (see core.CDS for the
-// semantics of each). Sweep sharding needs no flag: the incremental
-// engine shards large sweeps across GOMAXPROCS on its own.
+// algorithms (see core.CDSStrategy for the engines).
 type CDSFlags struct {
 	Strategy string
-	Batch    int
 }
 
-// Register installs the CDS engine flags on fs.
+// Register installs the CDS engine flag on fs.
 func (f *CDSFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Strategy, "cds-strategy", core.StrategyIncremental.String(),
-		"CDS move-selection engine: incremental (large sweeps shard across GOMAXPROCS) or naive (the paper's literal rescan)")
-	fs.IntVar(&f.Batch, "cds-batch", 0,
-		"apply up to this many non-conflicting moves per sweep (incremental strategy only; 0 or 1 keeps strict steepest descent)")
+		"CDS move-selection engine: incremental (the pair-champion table) or naive (the paper's literal rescan)")
 }
 
-// Refiner resolves the flags into a CDS refiner, rejecting unknown
-// strategy names and flag combinations core would refuse at Refine
-// time (so the error surfaces before any work is done).
+// Refiner resolves the flag into a CDS refiner, rejecting unknown
+// strategy names before any work is done.
 func (f *CDSFlags) Refiner() (*core.CDS, error) {
 	strat, err := core.ParseCDSStrategy(f.Strategy)
 	if err != nil {
 		return nil, err
 	}
-	if f.Batch < 0 {
-		return nil, fmt.Errorf("-cds-batch must be >= 0, got %d", f.Batch)
-	}
-	if f.Batch > 1 && strat != core.StrategyIncremental {
-		return nil, fmt.Errorf("-cds-batch %d requires -cds-strategy incremental, got %q", f.Batch, f.Strategy)
-	}
-	return &core.CDS{Strategy: strat, BatchSize: f.Batch}, nil
+	return &core.CDS{Strategy: strat}, nil
 }
 
 // AlgorithmNames lists the allocators NewAllocator accepts.

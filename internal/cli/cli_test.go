@@ -122,34 +122,31 @@ func TestCDSFlagsRoundTrip(t *testing.T) {
 			t.Fatalf("strategy %q resolved to %v", s.String(), cds.Strategy)
 		}
 	}
-	// Defaults: incremental, strict (unbatched) mode.
+	// Default: the incremental engine.
 	cds, err := parseCDS(t).Refiner()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cds.Strategy != core.StrategyIncremental || cds.BatchSize != 0 {
+	if cds.Strategy != core.StrategyIncremental {
 		t.Fatalf("defaults resolved to %+v", cds)
-	}
-	// Batched mode on the default engine.
-	cds, err = parseCDS(t, "-cds-batch", "16").Refiner()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cds.Strategy != core.StrategyIncremental || cds.BatchSize != 16 {
-		t.Fatalf("batched flags resolved to %+v", cds)
 	}
 }
 
 func TestCDSFlagsErrors(t *testing.T) {
 	cases := [][]string{
 		{"-cds-strategy", "exhaustive"},
-		{"-cds-strategy", "parallel"}, // sharding is automatic, not an engine
-		{"-cds-batch", "-5"},
-		{"-cds-strategy", "naive", "-cds-batch", "2"},
+		{"-cds-strategy", "parallel"},
 	}
 	for _, args := range cases {
 		if _, err := parseCDS(t, args...).Refiner(); err == nil {
 			t.Fatalf("args %v: want error", args)
 		}
+	}
+	// There is no batched mode, so no -cds-batch flag.
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	new(CDSFlags).Register(fs)
+	if err := fs.Parse([]string{"-cds-batch", "16"}); err == nil {
+		t.Fatal("-cds-batch still parses")
 	}
 }

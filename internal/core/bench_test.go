@@ -71,7 +71,7 @@ func BenchmarkCDSRefine(b *testing.B) {
 
 // BenchmarkCDSScale is the production-scale CDS grid (N up to 10k,
 // K up to 64) comparing the naive full rescan against the incremental
-// candidate table. Both strategies apply bit-identical moves (the
+// pair-champion table. Both strategies apply bit-identical moves (the
 // differential trace tests prove it), so the ns/op ratio is pure
 // selection-machinery cost. MaxMoves pins the number of applied moves
 // so every (N, K) cell measures the same amount of optimization work
@@ -79,8 +79,9 @@ func BenchmarkCDSRefine(b *testing.B) {
 // numbers across PRs. 200 moves is still far short of a full
 // refinement at N=10k (which runs to a local optimum, typically
 // thousands of moves), so the ratio here understates the end-to-end
-// speedup: the incremental table's one-time build cost is amortized
-// over fewer moves than in real use. -short skips the N=10k column.
+// speedup: the incremental table's one-time build (one naive scan)
+// is amortized over fewer moves than in real use. -short skips the
+// N=10k column.
 func BenchmarkCDSScale(b *testing.B) {
 	const maxMoves = 200
 	for _, n := range []int{120, 1000, 10000} {
@@ -102,34 +103,6 @@ func BenchmarkCDSScale(b *testing.B) {
 				})
 			}
 		}
-	}
-}
-
-// BenchmarkCDSParallel measures the default engine at a size where
-// its sweeps shard (N above the item threshold), strict and batched.
-// The shard width is GOMAXPROCS, so sweep it with the -cpu flag
-// (-cpu 1,2,4,8): at -cpu 1 every sweep runs inline, which makes that
-// cell the serial baseline; the batched cells measure the algorithmic
-// (per-core-independent) win of repairing the tables once per batch.
-// -short skips the family.
-func BenchmarkCDSParallel(b *testing.B) {
-	if testing.Short() {
-		b.Skip("sharded cells need N above the shard threshold")
-	}
-	const maxMoves = 200
-	n, k := 20000, 64
-	db := benchDB(b, n)
-	a := randomAllocation(b, db, k, 7)
-	for _, batch := range []int{0, 8, 32} {
-		b.Run(fmt.Sprintf("N=%d/K=%d/B=%d", n, k, batch), func(b *testing.B) {
-			cds := &CDS{BatchSize: batch, MaxMoves: maxMoves}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := cds.Refine(a); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -272,3 +272,21 @@ func TestCDSCanEmptyAGroup(t *testing.T) {
 		t.Errorf("hot item should end up alone, got aggregates %+v", agg)
 	}
 }
+
+// TestOrderKeyOrdersLikeFloats pins the column scans' integer keys:
+// strictly increasing over strictly increasing floats, and inverted
+// by keyFloat bit for bit.
+func TestOrderKeyOrdersLikeFloats(t *testing.T) {
+	xs := []float64{
+		math.Inf(-1), -math.MaxFloat64, -3.5, -1, -math.SmallestNonzeroFloat64,
+		0, math.SmallestNonzeroFloat64, 1e-300, 0.25, 1, 3.5, math.MaxFloat64, math.Inf(1),
+	}
+	for i, x := range xs {
+		if got := keyFloat(orderKey(x)); math.Float64bits(got) != math.Float64bits(x) {
+			t.Fatalf("keyFloat(orderKey(%v)) = %v", x, got)
+		}
+		if i > 0 && orderKey(xs[i-1]) >= orderKey(x) {
+			t.Fatalf("orderKey(%v) = %d not below orderKey(%v) = %d", xs[i-1], orderKey(xs[i-1]), x, orderKey(x))
+		}
+	}
+}

@@ -77,14 +77,6 @@ func CycleLength(a *Allocation, c int, b float64) float64 {
 //	Δc = f·(Z_p − Z_q) + z·(F_p − F_q) − 2·f·z
 //
 // A positive value means the move lowers the total cost.
-//
-// Because Δc depends only on the item's constants and the two touched
-// groups' aggregates, moves whose {source, destination} group pairs
-// are pairwise disjoint commute: applying one cannot change another's
-// Δc — not even its float bits — and any application order reaches
-// the same aggregates. The batched CDS mode (CDS.BatchSize) rests on
-// exactly this property; the batch-replay tests verify it move by
-// move.
 func MoveReduction(it Item, from, to GroupAgg) float64 {
 	return it.Freq*(from.Z-to.Z) + it.Size*(from.F-to.F) - 2*it.Freq*it.Size
 }

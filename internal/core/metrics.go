@@ -21,11 +21,7 @@ var (
 	cdsScans = obs.Default().Counter("core_cds_scans_total",
 		"CDS move-selection sweeps (one per iteration, both strategies)")
 	cdsCandidatesRecomputed = obs.Default().Counter("core_cds_candidates_recomputed_total",
-		"full per-item candidate recomputations by the incremental CDS strategy")
-	cdsParallelSweeps = obs.Default().Counter("core_cds_parallel_sweeps_total",
-		"CDS moves and batch repairs whose candidate sweeps were sharded across GOMAXPROCS")
-	cdsBatchedMoves = obs.Default().Counter("core_cds_batched_moves_total",
-		"moves applied by the batched CDS mode (non-conflicting moves per sweep)")
+		"items the incremental CDS strategy rescanned over all destinations: every item at table build, then the two touched groups' members per move")
 )
 
 // timeNow is stubbed in tests.
