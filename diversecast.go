@@ -29,7 +29,6 @@ import (
 	"diversecast/internal/airindex"
 	"diversecast/internal/airsim"
 	"diversecast/internal/baseline"
-	"diversecast/internal/bdisk"
 	"diversecast/internal/broadcast"
 	"diversecast/internal/cache"
 	"diversecast/internal/core"
@@ -38,7 +37,6 @@ import (
 	"diversecast/internal/hybrid"
 	"diversecast/internal/netcast"
 	"diversecast/internal/ondemand"
-	"diversecast/internal/query"
 	"diversecast/internal/workload"
 )
 
@@ -227,61 +225,6 @@ func ServeBroadcast(addr string, cfg BroadcastServerConfig) (*BroadcastServer, e
 
 // TuneBroadcast connects a client to a broadcast server channel.
 var TuneBroadcast = netcast.Tune
-
-// Broadcast disks (multi-frequency single-channel scheduling, the
-// paper's reference [1]).
-type (
-	// DiskConfig describes a broadcast-disk layout (relative spin
-	// frequencies, optional disk sizes, bandwidth).
-	DiskConfig = bdisk.Config
-	// DiskLayout records which disk each item landed on.
-	DiskLayout = bdisk.Layout
-)
-
-// BuildBroadcastDisks generates a multi-frequency single-channel
-// program: items on faster disks air multiple times per major cycle.
-func BuildBroadcastDisks(db *Database, cfg DiskConfig) (*Program, *DiskLayout, error) {
-	return bdisk.Build(db, cfg)
-}
-
-// Multi-item queries (dependent data, the paper's references [9][10]).
-type (
-	// MultiQuery is a query needing a set of items; its latency runs
-	// to the last download.
-	MultiQuery = query.Query
-	// QueryWorkloadConfig describes a synthetic query workload.
-	QueryWorkloadConfig = query.WorkloadConfig
-	// QueryResult summarizes a query-workload evaluation.
-	QueryResult = query.Result
-)
-
-// GenerateQueries draws a multi-item query workload against db.
-func GenerateQueries(db *Database, cfg QueryWorkloadConfig) ([]MultiQuery, error) {
-	return query.Generate(db, cfg)
-}
-
-// RetrieveQuery runs the greedy client for one query and returns the
-// span and download order.
-func RetrieveQuery(p *Program, q MultiQuery) (float64, []int, error) {
-	return query.Retrieve(p, q)
-}
-
-// EvaluateQueries retrieves a whole query workload.
-func EvaluateQueries(p *Program, queries []MultiQuery) (*QueryResult, error) {
-	return query.Evaluate(p, queries)
-}
-
-// QueryAffinityOrder returns a slot reorderer (for
-// BuildProgramCustom) that chains co-accessed items back to back.
-func QueryAffinityOrder(a *Allocation, training []MultiQuery) func(channel int, group []int) []int {
-	return query.AffinityOrder(a, training)
-}
-
-// BuildProgramCustom compiles a program with a caller-chosen slot
-// order per channel (must permute each channel's items).
-func BuildProgramCustom(a *Allocation, bandwidth float64, reorder func(channel int, group []int) []int) (*Program, error) {
-	return broadcast.BuildCustom(a, bandwidth, reorder)
-}
 
 // Client-side caching (Broadcast Disks, the paper's reference [1]).
 type (

@@ -242,87 +242,3 @@ func TestPublicCache(t *testing.T) {
 		t.Fatalf("cached wait %v not below analytic no-cache wait %v", res.Wait.Mean, noCache)
 	}
 }
-
-func TestPublicQueries(t *testing.T) {
-	db, err := diversecast.GenerateWorkload(diversecast.WorkloadConfig{
-		N: 40, Theta: 0.9, Phi: 1, Seed: 30,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	alloc, err := diversecast.NewDRPCDS().Allocate(db, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	training, err := diversecast.GenerateQueries(db, diversecast.QueryWorkloadConfig{
-		Queries: 800, Rate: 4, MaxItems: 3, Locality: 0.9, Stride: 13, Seed: 31,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	test, err := diversecast.GenerateQueries(db, diversecast.QueryWorkloadConfig{
-		Queries: 800, Rate: 4, MaxItems: 3, Locality: 0.9, Stride: 13, Seed: 32,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := diversecast.BuildProgram(alloc, diversecast.PaperBandwidth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tuned, err := diversecast.BuildProgramCustom(alloc, diversecast.PaperBandwidth,
-		diversecast.QueryAffinityOrder(alloc, training))
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseRes, err := diversecast.EvaluateQueries(base, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tunedRes, err := diversecast.EvaluateQueries(tuned, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tunedRes.Span.Mean >= baseRes.Span.Mean {
-		t.Fatalf("affinity order (%v) did not beat base order (%v)",
-			tunedRes.Span.Mean, baseRes.Span.Mean)
-	}
-	span, order, err := diversecast.RetrieveQuery(base, test[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if span <= 0 || len(order) != len(test[0].Items) {
-		t.Fatalf("span %v, order %v", span, order)
-	}
-}
-
-func TestPublicBroadcastDisks(t *testing.T) {
-	db, err := diversecast.GenerateWorkload(diversecast.WorkloadConfig{
-		N: 24, Theta: 1.2, Phi: 0.5, Seed: 40,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, layout, err := diversecast.BuildBroadcastDisks(db, diversecast.DiskConfig{
-		RelFreq: []int{3, 1}, Bandwidth: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(layout.Disks) != 2 {
-		t.Fatalf("%d disks", len(layout.Disks))
-	}
-	hot := layout.Disks[0][0]
-	if occ := prog.Occurrences(hot); len(occ) != 3 {
-		t.Fatalf("hot item occurs %d times, want 3", len(occ))
-	}
-	trace, err := diversecast.GenerateTrace(db, diversecast.TraceConfig{
-		Requests: 3000, Rate: 20, Seed: 41,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := diversecast.Simulate(prog, trace); err != nil {
-		t.Fatal(err)
-	}
-}

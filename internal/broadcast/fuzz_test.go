@@ -29,6 +29,7 @@ func FuzzReadJSON(f *testing.F) {
 	f.Add(buf.String())
 	f.Add(`{"k":0,"bandwidth":0,"channels":[]}`)
 	f.Add(`{"k":1,"bandwidth":10,"channels":[{"index":0,"slots":[],"cycle_length":0}]}`)
+	f.Add(twiceScheduled)
 	f.Add(`garbage`)
 
 	f.Fuzz(func(t *testing.T, in string) {

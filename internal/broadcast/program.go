@@ -49,11 +49,9 @@ type Program struct {
 	Bandwidth float64   `json:"bandwidth"`
 	Channels  []Channel `json:"channels"`
 
-	// locate[pos] lists every {channel, slot index} carrying the
-	// item; rebuilt on load. Programs built by Build/BuildCustom have
-	// one occurrence per item; multi-frequency schedules (broadcast
-	// disks) repeat hot items within a cycle.
-	locate map[int][][2]int
+	// locate[pos] is the {channel, slot index} carrying the item;
+	// rebuilt on load.
+	locate map[int][2]int
 }
 
 // SlotOrder selects the ordering of items within a channel cycle. For
@@ -76,34 +74,9 @@ const (
 var ErrEmptyProgram = errors.New("broadcast: nil allocation")
 
 // Build compiles an allocation into a program under the given channel
-// bandwidth (size units per second).
+// bandwidth (size units per second). Every item gets exactly one slot,
+// on its allocated channel, per cycle.
 func Build(a *core.Allocation, bandwidth float64, order SlotOrder) (*Program, error) {
-	if a == nil {
-		return nil, ErrEmptyProgram
-	}
-	return BuildCustom(a, bandwidth, func(_ int, group []int) []int {
-		d := a.Database()
-		switch order {
-		case ByFrequency:
-			sort.SliceStable(group, func(i, j int) bool {
-				return d.Item(group[i]).Freq > d.Item(group[j]).Freq
-			})
-		case BySize:
-			sort.SliceStable(group, func(i, j int) bool {
-				return d.Item(group[i]).Size < d.Item(group[j]).Size
-			})
-		}
-		return group
-	})
-}
-
-// BuildCustom compiles an allocation with a caller-chosen slot order:
-// reorder receives each channel's database positions (ascending) and
-// returns the cycle order. The returned slice must be a permutation of
-// the input; BuildCustom verifies this. Within a flat cyclic channel
-// the order does not change any single item's mean waiting time, but
-// it does change multi-item query spans (see internal/query).
-func BuildCustom(a *core.Allocation, bandwidth float64, reorder func(channel int, group []int) []int) (*Program, error) {
 	if a == nil {
 		return nil, ErrEmptyProgram
 	}
@@ -117,10 +90,15 @@ func BuildCustom(a *core.Allocation, bandwidth float64, reorder func(channel int
 	agg := a.Aggregates()
 	p := &Program{K: a.K(), Bandwidth: bandwidth, Channels: make([]Channel, a.K())}
 	for c, group := range a.Groups() {
-		original := append([]int(nil), group...)
-		group = reorder(c, append([]int(nil), group...))
-		if !samePositionSet(original, group) {
-			return nil, fmt.Errorf("broadcast: reorder for channel %d is not a permutation of its items", c)
+		switch order {
+		case ByFrequency:
+			sort.SliceStable(group, func(i, j int) bool {
+				return db.Item(group[i]).Freq > db.Item(group[j]).Freq
+			})
+		case BySize:
+			sort.SliceStable(group, func(i, j int) bool {
+				return db.Item(group[i]).Size < db.Item(group[j]).Size
+			})
 		}
 		ch := Channel{Index: c, Slots: make([]Slot, 0, len(group))}
 		var at float64
@@ -140,85 +118,30 @@ func BuildCustom(a *core.Allocation, bandwidth float64, reorder func(channel int
 	return p, nil
 }
 
-// samePositionSet reports whether b is a permutation of a.
-func samePositionSet(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	seen := make(map[int]int, len(a))
-	for _, v := range a {
-		seen[v]++
-	}
-	for _, v := range b {
-		seen[v]--
-		if seen[v] < 0 {
-			return false
-		}
-	}
-	return true
-}
-
 func (p *Program) buildIndex() {
-	p.locate = make(map[int][][2]int)
+	p.locate = make(map[int][2]int)
 	for c, ch := range p.Channels {
 		for s, slot := range ch.Slots {
-			p.locate[slot.Pos] = append(p.locate[slot.Pos], [2]int{c, s})
+			p.locate[slot.Pos] = [2]int{c, s}
 		}
 	}
 }
 
-// Locate returns the channel and slot index of the item's first
-// occurrence. ok is false if the item is not scheduled. Use
-// Occurrences for multi-frequency schedules.
+// Locate returns the channel and slot index carrying the item at
+// database position pos. ok is false if the item is not scheduled.
 func (p *Program) Locate(pos int) (channel, slot int, ok bool) {
 	if p.locate == nil {
 		p.buildIndex()
 	}
-	locs, ok := p.locate[pos]
-	if !ok {
-		return 0, 0, false
-	}
-	return locs[0][0], locs[0][1], true
-}
-
-// Occurrences returns every (channel, slot) pair carrying the item at
-// database position pos.
-func (p *Program) Occurrences(pos int) [][2]int {
-	if p.locate == nil {
-		p.buildIndex()
-	}
-	return append([][2]int(nil), p.locate[pos]...)
+	loc, ok := p.locate[pos]
+	return loc[0], loc[1], ok
 }
 
 // NextStart returns the absolute time ≥ t at which the item at
-// database position pos next begins transmission, considering every
-// occurrence in the cycle.
+// database position pos next begins transmission.
 func (p *Program) NextStart(pos int, t float64) (float64, error) {
-	if p.locate == nil {
-		p.buildIndex()
-	}
-	locs, ok := p.locate[pos]
-	if !ok {
-		return 0, fmt.Errorf("broadcast: item position %d not scheduled", pos)
-	}
-	best := math.Inf(1)
-	for _, loc := range locs {
-		ch := p.Channels[loc[0]]
-		slot := ch.Slots[loc[1]]
-		if ch.CycleLength <= 0 {
-			return 0, fmt.Errorf("broadcast: channel %d has empty cycle", loc[0])
-		}
-		// Number of whole cycles before t, then the first start ≥ t.
-		k := math.Floor((t - slot.Start) / ch.CycleLength)
-		start := slot.Start + k*ch.CycleLength
-		for start < t {
-			start += ch.CycleLength
-		}
-		if start < best {
-			best = start
-		}
-	}
-	return best, nil
+	start, _, err := p.next(pos, t)
+	return start, err
 }
 
 // WaitFor returns the full waiting time (probe plus download) of a
@@ -226,20 +149,39 @@ func (p *Program) NextStart(pos int, t float64) (float64, error) {
 // client tuning in at t receives the item's next complete
 // transmission.
 func (p *Program) WaitFor(pos int, t float64) (float64, error) {
-	start, err := p.NextStart(pos, t)
+	start, slot, err := p.next(pos, t)
 	if err != nil {
 		return 0, err
 	}
-	c, s, _ := p.Locate(pos)
-	return start + p.Channels[c].Slots[s].Duration - t, nil
+	return start + slot.Duration - t, nil
+}
+
+// next returns the item's slot and the absolute start ≥ t of its next
+// transmission.
+func (p *Program) next(pos int, t float64) (float64, Slot, error) {
+	c, s, ok := p.Locate(pos)
+	if !ok {
+		return 0, Slot{}, fmt.Errorf("broadcast: item position %d not scheduled", pos)
+	}
+	ch := p.Channels[c]
+	if ch.CycleLength <= 0 {
+		return 0, Slot{}, fmt.Errorf("broadcast: channel %d has empty cycle", c)
+	}
+	slot := ch.Slots[s]
+	// Number of whole cycles before t, then the first start ≥ t.
+	k := math.Floor((t - slot.Start) / ch.CycleLength)
+	start := slot.Start + k*ch.CycleLength
+	for start < t {
+		start += ch.CycleLength
+	}
+	return start, slot, nil
 }
 
 // Validate checks structural invariants: contiguous slots from zero,
 // cycle length equal to the slot sum, durations consistent with the
-// bandwidth, and every occurrence of an item on a single channel with
-// a single size. (An item may occur several times per cycle —
-// multi-frequency broadcast-disk schedules — but always on one
-// channel.)
+// bandwidth, and every item position scheduled at most once across
+// all channels — the one-slot-per-cycle model that ExpectedWait and
+// every consumer of a program assume.
 func (p *Program) Validate() error {
 	if p.K != len(p.Channels) {
 		return fmt.Errorf("broadcast: K=%d but %d channels", p.K, len(p.Channels))
@@ -248,21 +190,16 @@ func (p *Program) Validate() error {
 		return fmt.Errorf("broadcast: bandwidth %v", p.Bandwidth)
 	}
 	onChannel := make(map[int]int)
-	sizeOf := make(map[int]float64)
 	for c, ch := range p.Channels {
 		if ch.Index != c {
 			return fmt.Errorf("broadcast: channel %d has index %d", c, ch.Index)
 		}
 		var at float64
 		for i, slot := range ch.Slots {
-			if prev, ok := onChannel[slot.Pos]; ok && prev != c {
-				return fmt.Errorf("broadcast: item position %d scheduled on channels %d and %d", slot.Pos, prev, c)
+			if prev, ok := onChannel[slot.Pos]; ok {
+				return fmt.Errorf("broadcast: item position %d scheduled twice (channels %d and %d)", slot.Pos, prev, c)
 			}
 			onChannel[slot.Pos] = c
-			if prev, ok := sizeOf[slot.Pos]; ok && math.Abs(prev-slot.Size) > 1e-9 {
-				return fmt.Errorf("broadcast: item position %d scheduled with sizes %v and %v", slot.Pos, prev, slot.Size)
-			}
-			sizeOf[slot.Pos] = slot.Size
 			if math.Abs(slot.Start-at) > 1e-9*(1+at) {
 				return fmt.Errorf("broadcast: channel %d slot %d starts at %v, want %v", c, i, slot.Start, at)
 			}

@@ -252,7 +252,19 @@ func TestReadJSONRejectsCorrupt(t *testing.T) {
 	if _, err := ReadJSON(strings.NewReader(bad)); err == nil {
 		t.Fatal("inconsistent program should fail validation")
 	}
+	// Contiguous, size-consistent slots, but position 0 airs twice per
+	// cycle: every program carries one slot per item.
+	if _, err := ReadJSON(strings.NewReader(twiceScheduled)); err == nil {
+		t.Fatal("a position scheduled twice should fail validation")
+	}
 }
+
+// twiceScheduled is a well-formed single-channel program that
+// schedules position 0 twice per cycle.
+const twiceScheduled = `{"k":1,"bandwidth":10,"channels":[{"index":0,"slots":[
+	{"pos":0,"item_id":1,"size":10,"start":0,"duration":1},
+	{"pos":1,"item_id":2,"size":10,"start":1,"duration":1},
+	{"pos":0,"item_id":1,"size":10,"start":2,"duration":1}],"cycle_length":3}]}`
 
 func TestRender(t *testing.T) {
 	_, p := buildFixture(t)

@@ -59,10 +59,6 @@ func (h *Histogram) Observe(x float64) {
 	}
 }
 
-// ObserveDuration records a duration given in seconds (a convenience
-// alias that keeps call sites honest about the unit).
-func (h *Histogram) ObserveDuration(seconds float64) { h.Observe(seconds) }
-
 // Count reports the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 

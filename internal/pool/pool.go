@@ -1,12 +1,11 @@
 // Package pool provides the bounded by-index worker pool behind every
 // deterministic parallel fabric in this repository: genetic fitness
-// evaluation, experiment sweep cells, and the sharded CDS candidate
-// sweeps. The contract that makes parallelism safe to put under
-// bit-exact algorithms is the same everywhere:
+// evaluation and experiment sweep cells. The contract that makes
+// parallelism safe to put under bit-exact algorithms is the same
+// everywhere:
 //
 //   - work is identified by index, handed out through an atomic
-//     cursor, and every unit writes results only to its own slot (or
-//     its own shard of a larger array);
+//     cursor, and every unit writes results only to its own slot;
 //   - any reduction over those slots folds them in index order, so
 //     the outcome is independent of which worker ran which index and
 //     of GOMAXPROCS.
@@ -62,20 +61,4 @@ func Run(workers, n int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// RunRanges splits [0,n) into exactly shards contiguous ranges and
-// executes fn(shard, lo, hi) for each on at most workers goroutines.
-// Shard boundaries depend only on (n, shards) — lo = shard*n/shards —
-// never on scheduling, so per-shard partial results reduced in shard
-// order are deterministic at any pool width. Empty ranges (n < shards)
-// still invoke fn so per-shard output slots are always written.
-func RunRanges(workers, shards, n int, fn func(shard, lo, hi int)) {
-	if shards <= 0 {
-		return
-	}
-	//diverselint:ignore hotalloc one range-adapter closure per parallel call is dispatch cost, same audit as the worker spawn below it
-	Run(workers, shards, func(s int) {
-		fn(s, s*n/shards, (s+1)*n/shards)
-	})
 }

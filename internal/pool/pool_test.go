@@ -33,67 +33,3 @@ func TestRunSerialPreservesOrder(t *testing.T) {
 		t.Fatalf("serial Run visited %d indices, want 5", len(got))
 	}
 }
-
-func TestRunRangesPartition(t *testing.T) {
-	for _, shards := range []int{1, 2, 3, 8, 16} {
-		for _, n := range []int{0, 1, 5, 16, 97, 1000} {
-			covered := make([]int32, n)
-			var calls atomic.Int64
-			prevHi := make([]int, shards)
-			RunRanges(1, shards, n, func(shard, lo, hi int) {
-				calls.Add(1)
-				if lo > hi || lo < 0 || hi > n {
-					t.Errorf("shards=%d n=%d: bad range shard=%d [%d,%d)", shards, n, shard, lo, hi)
-				}
-				prevHi[shard] = hi
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&covered[i], 1)
-				}
-			})
-			if calls.Load() != int64(shards) {
-				t.Fatalf("shards=%d n=%d: fn invoked %d times, want once per shard", shards, n, calls.Load())
-			}
-			for i, c := range covered {
-				if c != 1 {
-					t.Fatalf("shards=%d n=%d: index %d covered %d times, want exactly once", shards, n, i, c)
-				}
-			}
-			// Contiguity: shard boundaries must tile [0,n) in shard order.
-			lo := 0
-			for s := 0; s < shards; s++ {
-				if want := (s + 1) * n / shards; prevHi[s] != want {
-					t.Fatalf("shards=%d n=%d: shard %d hi=%d, want %d", shards, n, s, prevHi[s], want)
-				}
-				lo = prevHi[s]
-			}
-			if lo != n {
-				t.Fatalf("shards=%d n=%d: ranges end at %d, want %d", shards, n, lo, n)
-			}
-		}
-	}
-}
-
-func TestRunRangesDeterministicAcrossWidths(t *testing.T) {
-	const shards, n = 8, 1003
-	fold := func(workers int) int64 {
-		partial := make([]int64, shards)
-		RunRanges(workers, shards, n, func(shard, lo, hi int) {
-			var s int64
-			for i := lo; i < hi; i++ {
-				s += int64(i * i)
-			}
-			partial[shard] = s
-		})
-		var total int64
-		for _, p := range partial {
-			total += p
-		}
-		return total
-	}
-	want := fold(1)
-	for _, w := range []int{2, 4, 8, 16} {
-		if got := fold(w); got != want {
-			t.Fatalf("workers=%d: shard-ordered fold %d, want %d", w, got, want)
-		}
-	}
-}
