@@ -46,7 +46,7 @@
 //
 // Examples:
 //
-//	bcastbench -out BENCH_19.json
+//	bcastbench -out BENCH_21.json
 //	bcastbench -quick -benchtime 1x            # CI: smallest honest signal
 //	bcastbench -quick -family cdsidentity      # CI: the bit-identity gate
 //	bcastbench -quick -family telemetry       # CI: the costmon overhead gate
@@ -139,7 +139,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("bcastbench", flag.ContinueOnError)
 	fs.SetOutput(out)
-	outPath := fs.String("out", "BENCH_19.json", "report path ('-' for stdout)")
+	outPath := fs.String("out", "BENCH_21.json", "report path ('-' for stdout)")
 	quick := fs.Bool("quick", false, "reduced grid: skip the large-N cells and the GOPT timing columns")
 	benchTime := fs.String("benchtime", "", "per-benchmark time or iteration budget (default 3x, 1x with -quick)")
 	family := fs.String("family", "", "run only one family: cds, cdsidentity, tables, figures, trace, fanout or telemetry (empty = all)")
@@ -407,10 +407,11 @@ func sameMoves(a, b []core.Move) bool {
 // cdsIdentity is the bit-identity gate: full refinements (no move
 // bound) with the naive oracle and with the default engine must
 // produce the same move trace down to the float bits, at N=2000 with
-// K=8 and K=64 from DRP and from random starts, and on the paper's
-// worked example. Any divergence returns an error before the report
-// is written, failing the run. The derived cds_identity_moves/<case>
-// values record how many moves each compared trace holds.
+// K=8 and K=64 from DRP and from random starts, on three databases
+// (identityDatabases), and on the paper's worked example. Any
+// divergence returns an error before the report is written, failing
+// the run. The derived cds_identity_moves/<case> values record how
+// many moves each compared trace holds.
 func cdsIdentity(rep *report) error {
 	type gateCase struct {
 		name  string
@@ -418,19 +419,20 @@ func cdsIdentity(rep *report) error {
 	}
 	var cases []gateCase
 	const n = 2000
-	db := workload.Config{N: n, Theta: 0.8, Phi: 2, Seed: 1}.MustGenerate()
-	for _, k := range []int{8, 64} {
-		drp, err := core.NewDRP().Allocate(db, k)
-		if err != nil {
-			return err
+	for _, d := range identityDatabases(n) {
+		for _, k := range []int{8, 64} {
+			drp, err := core.NewDRP().Allocate(d.db, k)
+			if err != nil {
+				return err
+			}
+			random, err := randomAllocation(d.db, k, 7)
+			if err != nil {
+				return err
+			}
+			cases = append(cases,
+				gateCase{fmt.Sprintf("%sN=%d/K=%d/drp", d.prefix, n, k), drp},
+				gateCase{fmt.Sprintf("%sN=%d/K=%d/random", d.prefix, n, k), random})
 		}
-		random, err := randomAllocation(db, k, 7)
-		if err != nil {
-			return err
-		}
-		cases = append(cases,
-			gateCase{fmt.Sprintf("N=%d/K=%d/drp", n, k), drp},
-			gateCase{fmt.Sprintf("N=%d/K=%d/random", n, k), random})
 	}
 	paper, err := core.NewDRPExampleConsistent().Allocate(core.PaperExampleDatabase(), core.PaperExampleK)
 	if err != nil {
@@ -454,6 +456,37 @@ func cdsIdentity(rep *report) error {
 		rep.Derived["cds_identity_moves/"+c.name] = float64(len(naive))
 	}
 	return nil
+}
+
+// identityDB is one of the bit-identity gate's databases with the
+// prefix of its case names.
+type identityDB struct {
+	prefix string
+	db     *core.Database
+}
+
+// identityDatabases returns the bit-identity gate's n-item databases:
+//   - "": the Table 5 catalog (θ=0.8, Φ=2, seed 1);
+//   - "ties/": every item takes frequency 1 or 2 and size 1 or 3, so
+//     aggregates and Δc are exact small numbers and equal Δc are
+//     common, which exercises the pick's tie-break and the stale cells
+//     whose bound equals the best;
+//   - "extreme/": frequencies log-uniform over nine decades and sizes
+//     over six, so Eq. 4's terms differ by up to fifteen orders of
+//     magnitude, which exercises the stale bounds' rounding slack.
+func identityDatabases(n int) []identityDB {
+	rng := rand.New(rand.NewSource(1))
+	ties := make([]core.Item, n)
+	extreme := make([]core.Item, n)
+	for i := range ties {
+		ties[i] = core.Item{ID: i + 1, Freq: float64(1 + rng.Intn(2)), Size: float64(1 + 2*rng.Intn(2))}
+		extreme[i] = core.Item{ID: i + 1, Freq: math.Pow(10, -9*rng.Float64()), Size: math.Pow(10, 6*rng.Float64())}
+	}
+	return []identityDB{
+		{"", workload.Config{N: n, Theta: 0.8, Phi: 2, Seed: 1}.MustGenerate()},
+		{"ties/", core.MustNewDatabase(ties)},
+		{"extreme/", core.MustNewDatabase(extreme)},
+	}
 }
 
 // tables2to4 reproduces the paper's worked example end to end and

@@ -28,9 +28,11 @@ const (
 // strategy pays O(K·N) move evaluations per applied move (within the
 // paper's stated O(K²N) bound); the incremental strategy exploits
 // that a move D_p → D_q only changes those two groups' aggregates and
-// members to reselect in O((|D_p|+|D_q|)·K + 2N + K²) from a K×K table
-// of per-(source, destination) champions (see DESIGN.md §2). Both
-// strategies select bit-for-bit identical moves.
+// members: it keeps a K×K table of per-(source, destination) champions
+// or upper bounds, updates the touched rows and columns in O(K) per
+// move, and rescans only the cells whose bound could beat the best
+// (see DESIGN.md §2). Both strategies select bit-for-bit identical
+// moves.
 type CDS struct {
 	// MaxMoves bounds the number of applied moves; 0 means no bound
 	// beyond Epsilon-driven termination. Cost strictly decreases by
@@ -62,9 +64,9 @@ type CDSStrategy int
 
 const (
 	// StrategyIncremental (the default) keeps, for every ordered pair
-	// of groups (p, q), the best item of D_p to move to D_q, and after
-	// each move recomputes only the table rows and columns of the two
-	// touched groups.
+	// of groups (p, q), the best item of D_p to move to D_q or an upper
+	// bound on its Δc, and per move rescans only the cells whose bound
+	// could beat the best exact one.
 	StrategyIncremental CDSStrategy = iota
 	// StrategyNaive rescans every (item, destination) pair per
 	// iteration — the paper's literal algorithm, kept as the oracle
@@ -145,7 +147,8 @@ type moveSelector interface {
 type selStats struct {
 	// scans counts selection sweeps (one per next call).
 	scans int64
-	// recomputed counts items rescanned over all K destinations.
+	// recomputed counts members scanned by exact cell scans (refreshes,
+	// the table build included).
 	recomputed int64
 }
 
@@ -328,22 +331,29 @@ type cdsItem struct {
 	f, z, tfz float64
 }
 
-// incrementalSelector is the pair-champion table. Cell (p, q) holds
-// the best move from group D_p to group D_q: its Δc and the database
-// position of the item, where best means the largest Δc and, among
-// equal Δc, the smallest position — the item the naive scan meets
-// first. Diagonal cells and cells of empty groups hold (−Inf, −1).
+// incrementalSelector is the lazy-bound pair table. Cell (p, q) stands
+// for the moves from group D_p to group D_q and is either
+//   - fresh (pos ≥ 0): dc is the exact maximum Δc over D_p's members
+//     toward D_q and pos the smallest position attaining it, the item
+//     the naive scan meets first; or
+//   - stale (pos = −1): dc is an upper bound on every member's Δc as
+//     Eq. 4 computes it in floating point.
+//
+// Diagonal cells and the rows of empty groups hold (−Inf, −1): stale,
+// with a bound no pick threshold reaches.
 //
 // A move from → to changes only agg[from], agg[to] and the membership
-// of those two groups, so applied recomputes exactly the cells that
-// read them (see DESIGN.md §2):
-//   - rows from and to: their members over all K destinations;
-//   - columns from and to: every other item, two Eq. 4 evaluations.
+// of those two groups, so applied touches only rows and columns from
+// and to, in O(K) and without evaluating any member but the moved one
+// (see DESIGN.md §2 for the proofs):
+//   - row from and column to can only fall, so their values stay as
+//     bounds;
+//   - row to and column from rise by at most the aggregate rises times
+//     the row's largest f and z, plus a rounding slack; the moved item's
+//     own Δc toward every destination is folded into row to.
 //
-// Every other cell reads only unchanged aggregates and members and
-// keeps its exact bits. The next move is then one scan of the K²
-// cells under the naive scan's order (Δc descending, then source,
-// position and destination ascending).
+// pick then refreshes (rescans exactly) only the stale cells whose
+// bound could beat the best fresh cell.
 type incrementalSelector struct {
 	cur *Allocation
 	agg []GroupAgg
@@ -352,100 +362,99 @@ type incrementalSelector struct {
 	// dc and pos are the K×K cells, row-major by source group.
 	dc  []float64
 	pos []int32
-	// dzs and dfs are row-rescan scratch: the aggregate differences
-	// Z_p−Z_q and F_p−F_q toward every destination q.
-	dzs, dfs   []float64
+	// prev is agg as of the last table update: refine reconciles agg
+	// before applied runs, and the bounds rise by the difference.
+	prev []GroupAgg
+	// lim holds, per group, upper bounds on its members' f, z and
+	// 2·f·z. They only grow: a member leaving keeps them valid.
+	lim []cdsItem
+	// zcap and fcap bound Z_p+Z_q and F_p+F_q for any two groups.
+	zcap, fcap float64
+	// cont is pick's contender scratch: up to K² stale cell indices.
+	cont       []int32
 	champ      Move
 	champFound bool
 	scans      int64
 	recomputed int64
 }
 
+const (
+	// boundSlack times a row's magnitude T = f̂·zcap + ẑ·fcap + t̂ is
+	// the rounding slack every raised bound gets: 2⁻⁴⁷ is 64 units of
+	// roundoff, where the proof in DESIGN.md §2 needs 23.
+	boundSlack = 0x1p-47
+	// boundRel times |bound| covers rounding the raised bound's own
+	// sum: 2⁻⁵⁰ is 8 units of roundoff, where the proof needs 2.
+	boundRel = 0x1p-50
+	// capPad lifts a float sum of N positive terms above every float
+	// sum of any subset of them, for N < 2³¹ (positions are int32).
+	capPad = 1 + 0x1p-20
+)
+
 func newIncrementalSelector(cur *Allocation, agg []GroupAgg) *incrementalSelector {
 	k := len(agg)
 	s := &incrementalSelector{
 		cur: cur, agg: agg, k: k,
-		fzt: make([]cdsItem, cur.db.Len()),
-		dc:  make([]float64, k*k),
-		pos: make([]int32, k*k),
-		dzs: make([]float64, k),
-		dfs: make([]float64, k),
+		fzt:  make([]cdsItem, cur.db.Len()),
+		dc:   make([]float64, k*k),
+		pos:  make([]int32, k*k),
+		prev: append([]GroupAgg(nil), agg...),
+		lim:  make([]cdsItem, k),
+		cont: make([]int32, k*k),
 	}
 	for i, it := range cur.db.items {
-		s.fzt[i] = cdsItem{f: it.Freq, z: it.Size, tfz: 2 * it.Freq * it.Size}
+		x := cdsItem{f: it.Freq, z: it.Size, tfz: 2 * it.Freq * it.Size}
+		s.fzt[i] = x
+		s.raiseLim(cur.channel[i], x)
 	}
+	s.zcap, s.fcap = cur.db.totalSize*capPad, cur.db.totalFreq*capPad
+	negInf := math.Inf(-1)
 	for p := 0; p < k; p++ {
-		s.rescanRow(p)
+		for q := 0; q < k; q++ {
+			if q == p {
+				s.dc[p*k+q], s.pos[p*k+q] = negInf, -1
+				continue
+			}
+			s.refresh(p*k+q, p)
+		}
 	}
 	s.pick()
 	return s
 }
 
-// rescanRow recomputes row p: every member of D_p against every
-// destination. Members are visited in ascending position and only a
-// strictly larger Δc displaces a cell, so each cell keeps the smallest
-// position among equal maxima. Slot p of the scratch is poked to
-// (−Inf, 0) so the diagonal evaluates to −Inf (item frequencies are
-// validated strictly positive and finite) and never displaces its
-// (−Inf, −1) start.
-func (s *incrementalSelector) rescanRow(p int) {
-	dcs := s.dc[p*s.k : (p+1)*s.k]
-	ps := s.pos[p*s.k : (p+1)*s.k][:len(dcs)]
-	dzs, dfs := s.dzs[:len(dcs)], s.dfs[:len(dcs)]
-	ap := s.agg[p]
-	negInf := math.Inf(-1)
-	for q, g := range s.agg[:len(dcs)] {
-		dzs[q], dfs[q] = ap.Z-g.Z, ap.F-g.F
-		dcs[q], ps[q] = negInf, -1
-	}
-	dzs[p], dfs[p] = negInf, 0
-	members := s.cur.ChannelPositions(p)
-	s.recomputed += int64(len(members))
-	for _, pos := range members {
-		it := s.fzt[pos]
-		for q := range dcs {
-			// MoveReduction with the aggregate differences and the
-			// 2·f·z term precomputed; same expression, same bits.
-			if dc := it.f*dzs[q] + it.z*dfs[q] - it.tfz; dc > dcs[q] {
-				dcs[q], ps[q] = dc, int32(pos)
-			}
-		}
-	}
+// raiseLim folds item x into group g's f/z/2fz maxima.
+func (s *incrementalSelector) raiseLim(g int, x cdsItem) {
+	l := &s.lim[g]
+	l.f, l.z, l.tfz = max(l.f, x.f), max(l.z, x.z), max(l.tfz, x.tfz)
 }
 
-// rescanColumns recomputes cells (p, from) and (p, to) for every group
-// p outside {from, to}: two Eq. 4 evaluations per member. The running
-// maxima compare orderKeys, not floats: the compiler turns an integer
+// rise is how far a bound of a row with maxima l may climb when
+// Z_p−Z_q rises by dz and F_p−F_q by df, rounding slack included.
+func (s *incrementalSelector) rise(l cdsItem, dz, df float64) float64 {
+	return l.f*dz + l.z*df + boundSlack*(l.f*s.zcap+l.z*s.fcap+l.tfz)
+}
+
+// refresh recomputes cell c of row p exactly: every member of D_p
+// toward the cell's destination, visited in ascending position, where
+// only a strictly larger Δc displaces the running maximum. The maximum
+// runs over orderKeys, not floats: the compiler turns an integer
 // running max into conditional moves, while a float one stays a branch
-// that mispredicts whenever database position correlates with Δc (at
-// K=64 over 40% of members raise their group's maximum).
-func (s *incrementalSelector) rescanColumns(from, to int) {
-	aF, aT := s.agg[from], s.agg[to]
-	negInf := math.Inf(-1)
-	fzt := s.fzt
-	for p, ap := range s.agg {
-		if p == from || p == to {
-			continue
+// that mispredicts whenever database position correlates with Δc.
+func (s *incrementalSelector) refresh(c, p int) {
+	ap, aq := s.agg[p], s.agg[c-p*s.k]
+	// MoveReduction with the aggregate differences and the 2·f·z term
+	// hoisted; same expression, same bits.
+	dz, df := ap.Z-aq.Z, ap.F-aq.F
+	best, bestPos := orderKey(math.Inf(-1)), int32(-1)
+	members, fzt := s.cur.ChannelPositions(p), s.fzt
+	s.recomputed += int64(len(members))
+	for _, pos := range members {
+		it := fzt[pos]
+		if key := orderKey(it.f*dz + it.z*df - it.tfz); key > best {
+			best, bestPos = key, int32(pos)
 		}
-		zf, ff := ap.Z-aF.Z, ap.F-aF.F
-		zt, ft := ap.Z-aT.Z, ap.F-aT.F
-		bF, bT := orderKey(negInf), orderKey(negInf)
-		pF, pT := int32(-1), int32(-1)
-		for _, pos := range s.cur.ChannelPositions(p) {
-			it := fzt[pos]
-			kF := orderKey(it.f*zf + it.z*ff - it.tfz)
-			kT := orderKey(it.f*zt + it.z*ft - it.tfz)
-			if kF > bF {
-				bF, pF = kF, int32(pos)
-			}
-			if kT > bT {
-				bT, pT = kT, int32(pos)
-			}
-		}
-		row := p * s.k
-		s.dc[row+from], s.pos[row+from] = keyFloat(bF), pF
-		s.dc[row+to], s.pos[row+to] = keyFloat(bT), pT
 	}
+	s.dc[c], s.pos[c] = keyFloat(best), bestPos
 }
 
 // orderKey maps x to an int64 that orders like x for every non-NaN
@@ -463,29 +472,68 @@ func keyFloat(k int64) float64 {
 	return math.Float64frombits(uint64(k ^ (k >> 63 & math.MaxInt64)))
 }
 
-// pick scans the K² cells for the move next hands out. Rows are
-// visited by ascending source and cells by ascending destination; a
-// cell displaces the champion on a strictly larger Δc, or on an equal
-// Δc in the champion's own row with a smaller position. That is the
-// naive scan's order (Δc descending, then source, position and
-// destination ascending), and only a strictly positive Δc is found.
+// pick finds the move next hands out: the naive scan's first strictly
+// positive maximum. One pass over the K² cells, rows by ascending
+// source and cells by ascending destination, keeps the best fresh cell
+// and collects the stale cells whose bound reaches the running best;
+// each contender that could still precede the best is then refreshed
+// and compared in turn.
 func (s *incrementalSelector) pick() {
+	k := s.k
 	best, bestRow, bestDC := -1, -1, 0.0
-	for p := 0; p < s.k; p++ {
-		for c := p * s.k; c < (p+1)*s.k; c++ {
+	n := 0
+	for p := 0; p < k; p++ {
+		for c := p * k; c < (p+1)*k; c++ {
+			// Few cells reach the running best, so test that first: a
+			// branch on fresh versus stale alone would mispredict on the
+			// table's mix of the two.
 			dc := s.dc[c]
-			//diverselint:ignore floateq deliberate exact tie-break: equal Δc within a source row must resolve by position exactly like the naive scan order
-			if dc > bestDC || dc == bestDC && p == bestRow && s.pos[c] < s.pos[best] {
+			if dc < bestDC {
+				continue
+			}
+			if s.pos[c] < 0 {
+				s.cont[n] = int32(c)
+				n++
+			} else if s.precedes(c, p, dc, best, bestRow, bestDC) {
 				best, bestRow, bestDC = c, p, dc
 			}
+		}
+	}
+	for _, c32 := range s.cont[:n] {
+		c := int(c32)
+		p := c / k
+		if !s.precedes(c, p, s.dc[c], best, bestRow, bestDC) {
+			continue
+		}
+		s.refresh(c, p)
+		if dc := s.dc[c]; s.precedes(c, p, dc, best, bestRow, bestDC) {
+			best, bestRow, bestDC = c, p, dc
 		}
 	}
 	if best < 0 {
 		s.champ, s.champFound = Move{}, false
 		return
 	}
-	s.champ = Move{Pos: int(s.pos[best]), From: bestRow, To: best - bestRow*s.k, Reduction: bestDC}
+	s.champ = Move{Pos: int(s.pos[best]), From: bestRow, To: best - bestRow*k, Reduction: bestDC}
 	s.champFound = true
+}
+
+// precedes reports whether cell c of row p, holding dc, comes before
+// the cell best of row bestRow, holding bestDC, in the naive scan's
+// order: Δc descending, then source, position and destination
+// ascending. best < 0 stands for no move yet, which only a strictly
+// positive Δc precedes. For a stale cell dc is its bound, and the
+// answer is whether any of its moves could come first.
+func (s *incrementalSelector) precedes(c, p int, dc float64, best, bestRow int, bestDC float64) bool {
+	//diverselint:ignore floateq deliberate exact tie-break: equal Δc must resolve by (source, position, destination) exactly like the naive scan order
+	if dc != bestDC || best < 0 {
+		return dc > bestDC
+	}
+	if p != bestRow {
+		return p < bestRow
+	}
+	pos, bestPos := s.pos[c], s.pos[best]
+	return pos < 0 || pos < bestPos || pos == bestPos && c < best
 }
 
 //diverselint:hotpath per-selection champion handoff
@@ -500,9 +548,60 @@ func (s *incrementalSelector) next() (Move, bool) {
 //diverselint:hotpath per-move pair-table update
 func (s *incrementalSelector) applied(m Move) {
 	// refine reconciled agg and the member lists before notifying us.
-	s.rescanRow(m.From)
-	s.rescanRow(m.To)
-	s.rescanColumns(m.From, m.To)
+	k, from, to := s.k, m.From, m.To
+	pf, pt := s.prev[from], s.prev[to]
+	nf, nt := s.agg[from], s.agg[to]
+	s.prev[from], s.prev[to] = nf, nt
+	x := s.fzt[m.Pos]
+	s.raiseLim(to, x)
+	negInf := math.Inf(-1)
+
+	// Row from and column to fall: keep their values as bounds. An
+	// emptied group's row is exact at −Inf.
+	dcF, posF := s.dc[from*k:(from+1)*k], s.pos[from*k:(from+1)*k]
+	for q := range posF {
+		if nf.N == 0 {
+			dcF[q] = negInf
+		}
+		posF[q] = -1
+	}
+	for c := to; c < len(s.pos); c += k {
+		s.pos[c] = -1
+	}
+
+	// Column from rises by how far Z_from and F_from fell.
+	dzF, dfF := pf.Z-nf.Z, pf.F-nf.F
+	for p, g := range s.agg {
+		if p == from || p == to || g.N == 0 {
+			continue
+		}
+		c := p*k + from
+		b := s.dc[c]
+		s.dc[c], s.pos[c] = b+(s.rise(s.lim[p], dzF, dfF)+math.Abs(b)*boundRel), -1
+	}
+
+	// Row to rises by how far Z_to and F_to rose, cell (to, from) by
+	// column from's rise as well, and x joins the row's members. If to
+	// was empty its row is all −Inf and x alone bounds it.
+	lt := s.lim[to]
+	riseT := s.rise(lt, nt.Z-pt.Z, nt.F-pt.F)
+	riseTF := riseT + (lt.f*dzF + lt.z*dfF)
+	dcT, posT := s.dc[to*k:(to+1)*k], s.pos[to*k:(to+1)*k]
+	for q, g := range s.agg[:len(dcT)] {
+		b, r := dcT[q], riseT
+		if q == from {
+			r = riseTF
+		}
+		if pt.N > 0 {
+			b += r + math.Abs(b)*boundRel
+		}
+		// MoveReduction for x toward q, hoisted as in refresh.
+		if dx := x.f*(nt.Z-g.Z) + x.z*(nt.F-g.F) - x.tfz; dx > b {
+			b = dx
+		}
+		dcT[q], posT[q] = b, -1
+	}
+	dcT[to] = negInf
 	s.pick()
 }
 

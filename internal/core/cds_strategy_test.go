@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -50,6 +51,20 @@ func tieDatabase(tb testing.TB, seed, n int) *Database {
 	items := make([]Item, n)
 	for i := range items {
 		items[i] = Item{ID: i + 1, Freq: float64(1 + rng.Intn(2)), Size: float64(1 + 2*rng.Intn(2))}
+	}
+	return MustNewDatabase(items)
+}
+
+// extremeDatabase generates an N-item database whose frequencies span
+// nine decades and sizes six, log-uniformly: Eq. 4's terms then differ
+// by up to fifteen orders of magnitude, which stresses the rounding
+// slack of the incremental table's stale bounds.
+func extremeDatabase(tb testing.TB, seed, n int) *Database {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(int64(seed)))
+	items := make([]Item, n)
+	for i := range items {
+		items[i] = Item{ID: i + 1, Freq: math.Pow(10, -9*rng.Float64()), Size: math.Pow(10, 6*rng.Float64())}
 	}
 	return MustNewDatabase(items)
 }
@@ -167,11 +182,69 @@ func TestCDSStrategiesIdenticalOnTies(t *testing.T) {
 	}
 }
 
-// TestCDSIncrementalSelectorInvariant cross-checks the pair table
-// against a fresh full scan after every applied move on one long
-// refinement: every cell (p, q) must hold the bit-exact maximum Δc of
-// D_p toward D_q and the smallest position attaining it, with
-// (−Inf, −1) on the diagonal and for empty groups.
+// checkSelectorTable cross-checks the lazy-bound table against a fresh
+// full scan: every fresh cell (p, q) must hold the bit-exact maximum Δc
+// of D_p toward D_q and the smallest position attaining it, every stale
+// cell a bound no smaller than that maximum, and every diagonal cell
+// (−Inf, −1). It returns how many fresh and stale cells it checked.
+func checkSelectorTable(t *testing.T, what string, sel *incrementalSelector, cur *Allocation, agg []GroupAgg) (fresh, stale int) {
+	t.Helper()
+	k := cur.K()
+	for p := 0; p < k; p++ {
+		for q := 0; q < k; q++ {
+			wantDC, wantPos := math.Inf(-1), -1
+			if p != q {
+				for _, pos := range cur.ChannelPositions(p) {
+					if dc := MoveReduction(cur.Database().Item(pos), agg[p], agg[q]); dc > wantDC {
+						wantDC, wantPos = dc, pos
+					}
+				}
+			}
+			c := p*k + q
+			switch {
+			case p == q:
+				if !math.IsInf(sel.dc[c], -1) || sel.pos[c] != -1 {
+					t.Fatalf("%s diagonal (%d,%d): (%v, %d), want (-Inf, -1)", what, p, q, sel.dc[c], sel.pos[c])
+				}
+			case sel.pos[c] >= 0:
+				fresh++
+				if sel.dc[c] != wantDC || int(sel.pos[c]) != wantPos {
+					t.Fatalf("%s fresh cell (%d,%d): table (%v, %d), scan (%v, %d)",
+						what, p, q, sel.dc[c], sel.pos[c], wantDC, wantPos)
+				}
+			default:
+				stale++
+				if !(sel.dc[c] >= wantDC) {
+					t.Fatalf("%s stale cell (%d,%d): bound %v below the scan's maximum %v (pos %d)",
+						what, p, q, sel.dc[c], wantDC, wantPos)
+				}
+			}
+		}
+	}
+	return fresh, stale
+}
+
+// applyMove performs one refine iteration by hand: move, reconcile the
+// two touched groups, notify the selector.
+func applyMove(cur *Allocation, agg []GroupAgg, sel moveSelector, m Move) {
+	cur.move(m.Pos, m.To)
+	reconcileGroup(cur, agg, m.From)
+	reconcileGroup(cur, agg, m.To)
+	sel.applied(m)
+}
+
+// randomMove draws a move of a random item to a random other group.
+func randomMove(rng *rand.Rand, cur *Allocation) Move {
+	pos := rng.Intn(cur.Database().Len())
+	from := cur.ChannelOf(pos)
+	return Move{Pos: pos, From: from, To: (from + 1 + rng.Intn(cur.K()-1)) % cur.K()}
+}
+
+// TestCDSIncrementalSelectorInvariant checks the lazy-bound table
+// against a fresh full scan (checkSelectorTable) after every applied
+// move. Each case runs one full refinement, then a walk of random
+// moves that the refinement would never make, so bounds also rise past
+// cost-raising moves.
 func TestCDSIncrementalSelectorInvariant(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -180,41 +253,107 @@ func TestCDSIncrementalSelectorInvariant(t *testing.T) {
 	}{
 		{"diverse", diverseDatabase(t, 9, 70, 0.8, 2), 6},
 		{"ties", tieDatabase(t, 9, 40), 5},
+		{"extreme", extremeDatabase(t, 9, 90), 7},
 	} {
 		cur := randomAllocation(t, tc.db, tc.k, 4)
 		agg := cur.Aggregates()
 		sel := newIncrementalSelector(cur, agg)
+		var fresh, stale int
 		check := func(step int) {
-			k := cur.K()
-			for p := 0; p < k; p++ {
-				for q := 0; q < k; q++ {
-					wantDC, wantPos := math.Inf(-1), -1
-					if p != q {
-						for _, pos := range cur.ChannelPositions(p) {
-							if dc := MoveReduction(tc.db.Item(pos), agg[p], agg[q]); dc > wantDC {
-								wantDC, wantPos = dc, pos
-							}
-						}
-					}
-					c := p*k + q
-					if sel.dc[c] != wantDC || int(sel.pos[c]) != wantPos {
-						t.Fatalf("%s step %d cell (%d,%d): table (%v, %d), fresh (%v, %d)",
-							tc.name, step, p, q, sel.dc[c], sel.pos[c], wantDC, wantPos)
-					}
-				}
-			}
+			f, s := checkSelectorTable(t, fmt.Sprintf("%s step %d", tc.name, step), sel, cur, agg)
+			fresh, stale = fresh+f, stale+s
 		}
 		check(-1)
-		for step := 0; ; step++ {
+		step := 0
+		for ; ; step++ {
 			m, found := sel.next()
 			if !found {
 				break
 			}
-			cur.move(m.Pos, m.To)
-			reconcileGroup(cur, agg, m.From)
-			reconcileGroup(cur, agg, m.To)
-			sel.applied(m)
+			applyMove(cur, agg, sel, m)
 			check(step)
+		}
+		rng := rand.New(rand.NewSource(int64(tc.k)))
+		for end := step + 200; step < end; step++ {
+			applyMove(cur, agg, sel, randomMove(rng, cur))
+			check(step)
+		}
+		if fresh == 0 || stale == 0 {
+			t.Fatalf("%s: checked %d fresh and %d stale cells; both paths must be exercised", tc.name, fresh, stale)
+		}
+	}
+}
+
+// TestCDSIncrementalBoundsAbsorbRounding drives 3000 tiny tables (3–7
+// items, K = 2–3) through random walks and checks every cell after
+// every move. Frequencies span nine decades and sizes six, and a third
+// of the items take frequencies within a few ulps of 1, so Eq. 4 often
+// cancels to within rounding of 0: a stale bound raised by the exact
+// aggregate rises alone, or with a slack of one unit of roundoff,
+// falls below a member's computed Δc here.
+func TestCDSIncrementalBoundsAbsorbRounding(t *testing.T) {
+	for seed := 0; seed < 3000; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		n, k := 3+rng.Intn(5), 2+rng.Intn(2)
+		items := make([]Item, n)
+		for i := range items {
+			items[i] = Item{ID: i + 1, Freq: math.Pow(10, -9*rng.Float64()), Size: math.Pow(10, 6*rng.Float64())}
+			if rng.Intn(3) == 0 {
+				items[i].Freq = 1 + float64(rng.Intn(8))*0x1p-52
+			}
+		}
+		cur := randomAllocation(t, MustNewDatabase(items), k, seed)
+		agg := cur.Aggregates()
+		sel := newIncrementalSelector(cur, agg)
+		for step := 0; step < 30; step++ {
+			applyMove(cur, agg, sel, randomMove(rng, cur))
+			checkSelectorTable(t, fmt.Sprintf("seed %d step %d", seed, step), sel, cur, agg)
+		}
+	}
+}
+
+// TestCDSPickOnAnyStaleMix checks pick against the all-fresh table on
+// arbitrary mixes of fresh and stale cells: every off-diagonal cell is
+// turned stale at random with its exact value, or a slightly or
+// greatly raised value, as its bound, and pick must still hand out
+// the same move. Tie-heavy tables make a stale cell whose bound equals
+// the best fresh Δc common, so a pick that refreshes only bounds
+// strictly above the best fails here.
+func TestCDSPickOnAnyStaleMix(t *testing.T) {
+	for seed := 0; seed < 3000; seed++ {
+		var db *Database
+		if seed%2 == 0 {
+			db = tieDatabase(t, seed, 12+seed%40)
+		} else {
+			db = diverseDatabase(t, seed, 12+seed%40, 0.8, 2)
+		}
+		k := 2 + seed%6
+		cur := randomAllocation(t, db, k, seed)
+		sel := newIncrementalSelector(cur, cur.Aggregates())
+		want, wantFound := sel.next()
+		dc := append([]float64(nil), sel.dc...)
+		pos := append([]int32(nil), sel.pos...)
+		rng := rand.New(rand.NewSource(int64(seed)))
+		for trial := 0; trial < 20; trial++ {
+			copy(sel.dc, dc)
+			copy(sel.pos, pos)
+			for c := range sel.dc {
+				if sel.pos[c] < 0 || rng.Intn(2) == 0 {
+					continue
+				}
+				sel.pos[c] = -1
+				switch rng.Intn(3) {
+				case 1:
+					sel.dc[c] = math.Nextafter(sel.dc[c], math.Inf(1))
+				case 2:
+					sel.dc[c] += 1 + math.Abs(sel.dc[c])
+				}
+			}
+			sel.pick()
+			got, found := sel.next()
+			if found != wantFound || got != want {
+				t.Fatalf("seed %d trial %d: pick on a stale mix = %+v (%v), all fresh = %+v (%v)", seed, trial, got, found, want, wantFound)
+			}
 		}
 	}
 }
@@ -260,7 +399,7 @@ func TestCDSConfigErrors(t *testing.T) {
 // FuzzCDSStrategies fuzzes the differential property between the
 // incremental table and the naive oracle. shape picks the database:
 // 0 a synthetic diverse one, 1 the paper example, 2 a tie-heavy one
-// (tieDatabase); the fuzzer then explores sizes, channel counts and
+// (tieDatabase), 3 an extreme-magnitude one (extremeDatabase); the fuzzer then explores sizes, channel counts and
 // arbitrary starting assignments. Any divergence between the engines
 // — even a single bit of one Δc — is a crash.
 func FuzzCDSStrategies(f *testing.F) {
@@ -268,6 +407,7 @@ func FuzzCDSStrategies(f *testing.F) {
 		shapeDiverse = iota
 		shapePaper
 		shapeTies
+		shapeExtreme
 		shapes
 	)
 	paperStart := []byte{0, 0, 1, 1, 2, 2, 3, 3, 4, 4}
@@ -277,6 +417,7 @@ func FuzzCDSStrategies(f *testing.F) {
 	f.Add(uint8(shapeDiverse), int64(7), uint8(48), uint8(6), []byte{0, 3, 1, 4, 2, 5})
 	f.Add(uint8(shapeDiverse), int64(42), uint8(130), uint8(16), []byte{})
 	f.Add(uint8(shapeTies), int64(3), uint8(38), uint8(3), []byte{0, 1, 2, 3, 4, 4, 3, 2, 1, 0, 2})
+	f.Add(uint8(shapeExtreme), int64(5), uint8(60), uint8(7), []byte{6, 0, 5, 1, 4, 2, 3})
 
 	f.Fuzz(func(t *testing.T, shape uint8, seed int64, rawN, rawK uint8, assign []byte) {
 		var db *Database
@@ -286,6 +427,8 @@ func FuzzCDSStrategies(f *testing.F) {
 			db = PaperExampleDatabase()
 		case shapeTies:
 			db = tieDatabase(t, int(seed), n)
+		case shapeExtreme:
+			db = extremeDatabase(t, int(seed), n)
 		default:
 			db = diverseDatabase(t, int(seed), n, 0.4+float64(uint64(seed)%13)/10, 0.5+float64(uint64(seed)%5)/2)
 		}

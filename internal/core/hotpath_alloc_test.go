@@ -25,10 +25,7 @@ func pingPong(cur *Allocation, agg []GroupAgg, sel moveSelector) func() {
 	k := len(agg)
 	return func() {
 		h := (g + 1) % k
-		cur.move(0, h)
-		reconcileGroup(cur, agg, g)
-		reconcileGroup(cur, agg, h)
-		sel.applied(Move{Pos: 0, From: g, To: h})
+		applyMove(cur, agg, sel, Move{Pos: 0, From: g, To: h})
 		g = h
 	}
 }

@@ -21,7 +21,7 @@ var (
 	cdsScans = obs.Default().Counter("core_cds_scans_total",
 		"CDS move-selection sweeps (one per iteration, both strategies)")
 	cdsCandidatesRecomputed = obs.Default().Counter("core_cds_candidates_recomputed_total",
-		"items the incremental CDS strategy rescanned over all destinations: every item at table build, then the two touched groups' members per move")
+		"Eq. 4 evaluations of the incremental CDS strategy's exact cell scans: every item toward every other group at table build, then one per member of each refreshed cell's source group")
 )
 
 // timeNow is stubbed in tests.

@@ -527,7 +527,7 @@ func TestLagResyncBeforeDrop(t *testing.T) {
 				i, subIdx, connIdx, tsnap.Sequence())
 		}
 	}
-	// finish is first-caller-wins: the lagged outcome must not be
+	// setOutcome is first-caller-wins: the lagged outcome must not be
 	// overwritten by the disconnect path that runs as the loop exits.
 	if out := attrStr(t, tsnap.Records[connIdx], "outcome"); out != "lagged" {
 		t.Fatalf("conn outcome = %q, want lagged", out)

@@ -431,7 +431,7 @@ func (s *Server) acceptLoop() {
 // closed; the broadcast must never block on a misbehaving client.
 func (s *Server) handshake(conn net.Conn) {
 	// The connection span opens here and ends either in failHandshake
-	// (rejected) or in subscriber.finish (served); its events replay
+	// (rejected) or in subscriber.endSpan (served); its events replay
 	// the lifecycle: handshake → subscribe → frames/drops → close.
 	var sp trace.Span
 	if s.cfg.Tracer.Enabled() {
@@ -547,10 +547,13 @@ type subscriber struct {
 
 	// span is the connection's netcast_conn span (inactive when
 	// tracing is off); frames counts written frames for its closing
-	// attr. finishOnce makes the first close path win the outcome.
-	span       trace.Span
-	frames     atomic.Int64
-	finishOnce sync.Once
+	// attr. outcome is why the connection ended, set once by the first
+	// close path (outcomeOnce orders it before endSpan's read).
+	span        trace.Span
+	frames      atomic.Int64
+	outcomeOnce sync.Once
+	//diverselint:guard none written once under outcomeOnce, read only after outcomeOnce.Do returns
+	outcome string
 }
 
 func (sub *subscriber) close() {
@@ -560,15 +563,24 @@ func (sub *subscriber) close() {
 	})
 }
 
-// finish ends the connection span with the close reason; the first
-// caller (lag drop, shutdown, or disconnect) determines the outcome.
-func (sub *subscriber) finish(outcome string) {
-	sub.finishOnce.Do(func() {
-		if sub.span.Active() {
-			sub.span.End(trace.Str("outcome", outcome),
-				trace.Int("frames", sub.frames.Load()))
-		}
-	})
+// setOutcome records why the connection ended; the first caller (lag
+// drop, shutdown, or disconnect) determines the outcome.
+func (sub *subscriber) setOutcome(outcome string) {
+	sub.outcomeOnce.Do(func() { sub.outcome = outcome })
+}
+
+// endSpan ends the connection span with the recorded outcome
+// ("disconnect" when no other close path recorded one) and the
+// written-frame count. Only the writer goroutine calls it, after
+// ringLoop has returned, so no write is still in flight: the count
+// includes every frame the connection accepted, even when Close ran
+// while a write was blocked.
+func (sub *subscriber) endSpan() {
+	sub.setOutcome("disconnect")
+	if sub.span.Active() {
+		sub.span.End(trace.Str("outcome", sub.outcome),
+			trace.Int("frames", sub.frames.Load()))
+	}
 }
 
 // throttle sleeps until bucket covers n bytes (or the subscriber is
@@ -704,7 +716,7 @@ func (sub *subscriber) ringLoop(ca *caster) {
 				// Tier 2: the subscriber cannot keep pace even when
 				// repeatedly restarted from the head. Cut it loose.
 				ca.met.lagDrops.Inc()
-				sub.finish("lagged")
+				sub.setOutcome("lagged")
 				return
 			}
 			// Tier 1: resume from the head and tell the client how
@@ -846,7 +858,7 @@ func (ca *caster) remove(sub *subscriber) {
 		ca.met.subscribers.Dec()
 	}
 	ca.mu.Unlock()
-	sub.finish("disconnect")
+	sub.endSpan()
 	sub.close()
 }
 
@@ -862,8 +874,10 @@ func (ca *caster) dropAll() {
 	ca.met.subsDropped.Add(int64(len(subs)))
 	ca.met.subscribers.Add(-int64(len(subs)))
 	ca.mu.Unlock()
+	// Record the outcome and close; each writer goroutine ends its own
+	// span once its last write has returned and been counted.
 	for _, sub := range subs {
-		sub.finish("shutdown")
+		sub.setOutcome("shutdown")
 		sub.close()
 	}
 }

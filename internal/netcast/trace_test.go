@@ -2,6 +2,7 @@ package netcast
 
 import (
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -138,5 +139,68 @@ func TestHandshakeFailureTrace(t *testing.T) {
 	}
 	if reason := attrStr(t, conns[0], "reason"); reason != "bad_channel" {
 		t.Fatalf("reason = %q, want bad_channel", reason)
+	}
+}
+
+// gatedConn is an in-process subscriber connection whose first Write
+// blocks until Close, then succeeds, as does every later Write: a
+// write the server started before shutdown that completes only after
+// dropAll closed the connection.
+type gatedConn struct {
+	nullConn
+	entered, closed chan struct{}
+	enterOnce       sync.Once
+	closeOnce       sync.Once
+}
+
+func newGatedConn() *gatedConn {
+	return &gatedConn{entered: make(chan struct{}), closed: make(chan struct{})}
+}
+
+func (c *gatedConn) Write(b []byte) (int, error) {
+	c.enterOnce.Do(func() { close(c.entered) })
+	<-c.closed
+	return len(b), nil
+}
+
+func (c *gatedConn) Close() error {
+	c.closeOnce.Do(func() { close(c.closed) })
+	return nil
+}
+
+func (c *gatedConn) RemoteAddr() net.Addr { return &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)} }
+
+// TestShutdownCountsInFlightWrite closes the server while a
+// subscriber's write is blocked and releases the write only when
+// dropAll closes the connection: the connection span must still end
+// with outcome shutdown and count the frames of that write.
+func TestShutdownCountsInFlightWrite(t *testing.T) {
+	_, p := testProgram(t)
+	tr := trace.New(trace.Config{Capacity: 64})
+	srv, err := Serve("127.0.0.1:0", ServerConfig{
+		Program: p, TimeScale: 0.005,
+		Metrics: obs.NewRegistry(),
+		Tracer:  tr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := newGatedConn()
+	if err := srv.Attach(conn, 0); err != nil {
+		t.Fatal(err)
+	}
+	<-conn.entered
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	spans := tr.Snapshot().Named("netcast_conn")
+	if len(spans) != 1 {
+		t.Fatalf("conn spans = %d, want 1", len(spans))
+	}
+	if out := attrStr(t, spans[0], "outcome"); out != "shutdown" {
+		t.Fatalf("conn outcome = %q, want shutdown", out)
+	}
+	if f := attrInt(t, spans[0], "frames"); f < 1 {
+		t.Fatalf("conn span frames = %d, want the blocked write's frames (≥ 1)", f)
 	}
 }
