@@ -79,7 +79,7 @@ FORCE:
 # writes the machine-readable report the PR trajectory is recorded in.
 # BENCH_OUT/BENCH_FLAGS override the artifact path and runner flags
 # (CI uses BENCH_FLAGS="-quick").
-BENCH_OUT ?= BENCH_21.json
+BENCH_OUT ?= BENCH_22.json
 BENCH_FLAGS ?=
 bench:
 	$(GO) run ./cmd/bcastbench -out $(BENCH_OUT) $(BENCH_FLAGS)

@@ -46,13 +46,14 @@
 //
 // Examples:
 //
-//	bcastbench -out BENCH_21.json
+//	bcastbench -out BENCH_22.json
 //	bcastbench -quick -benchtime 1x            # CI: smallest honest signal
 //	bcastbench -quick -family cdsidentity      # CI: the bit-identity gate
 //	bcastbench -quick -family telemetry       # CI: the costmon overhead gate
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -61,6 +62,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -87,14 +89,18 @@ type benchResult struct {
 
 // report is the top-level JSON document. Derived holds quantities
 // computed across results — currently the naive/incremental speedup
-// per CDSScale cell.
+// per CDSScale cell. CPUModel and CDSKernel fingerprint the machine:
+// the processor's model name and the member scan the default CDS
+// engine runs on it ("avx2" or "go").
 type report struct {
 	GeneratedAt string             `json:"generated_at"`
 	GoVersion   string             `json:"go_version"`
 	GOOS        string             `json:"goos"`
 	GOARCH      string             `json:"goarch"`
+	CPUModel    string             `json:"cpu_model"`
 	NumCPU      int                `json:"num_cpu"`
 	GOMAXPROCS  int                `json:"gomaxprocs"`
+	CDSKernel   string             `json:"cds_kernel"`
 	BenchTime   string             `json:"bench_time"`
 	Quick       bool               `json:"quick"`
 	Results     []benchResult      `json:"results"`
@@ -139,7 +145,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("bcastbench", flag.ContinueOnError)
 	fs.SetOutput(out)
-	outPath := fs.String("out", "BENCH_21.json", "report path ('-' for stdout)")
+	outPath := fs.String("out", "BENCH_22.json", "report path ('-' for stdout)")
 	quick := fs.Bool("quick", false, "reduced grid: skip the large-N cells and the GOPT timing columns")
 	benchTime := fs.String("benchtime", "", "per-benchmark time or iteration budget (default 3x, 1x with -quick)")
 	family := fs.String("family", "", "run only one family: cds, cdsidentity, tables, figures, trace, fanout or telemetry (empty = all)")
@@ -165,8 +171,10 @@ func run(args []string, out io.Writer) error {
 		GoVersion:   runtime.Version(),
 		GOOS:        runtime.GOOS,
 		GOARCH:      runtime.GOARCH,
+		CPUModel:    cpuModel(),
 		NumCPU:      runtime.NumCPU(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		CDSKernel:   core.CDSKernel(),
 		BenchTime:   bt,
 		Quick:       *quick,
 		Derived:     make(map[string]float64),
@@ -267,6 +275,32 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("disabled cost-telemetry overhead %.3f%% exceeds the 2%% budget: servers without -telemetry must pay only the nil check", pct)
 	}
 	return nil
+}
+
+// cpuModel returns the first "model name" in /proc/cpuinfo, or
+// "unknown" where the file or the field is missing (non-Linux hosts,
+// and Linux ports whose cpuinfo names no model).
+func cpuModel() string {
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	defer f.Close()
+	return parseCPUModel(f)
+}
+
+// parseCPUModel scans cpuinfo text for its first "model name" line.
+func parseCPUModel(r io.Reader) string {
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		key, val, ok := strings.Cut(sc.Text(), ":")
+		if ok && strings.TrimSpace(key) == "model name" {
+			if val = strings.TrimSpace(val); val != "" {
+				return val
+			}
+		}
+	}
+	return "unknown"
 }
 
 // randomAllocation mirrors the core test helper: a deterministic

@@ -3,6 +3,7 @@ package analysis_test
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"diversecast/internal/analysis"
@@ -327,5 +328,38 @@ func cost(groups map[int]float64) float64 {
 	})
 	for _, f := range lintModule(t, root) {
 		t.Errorf("unexpected finding on clean module: %s", f)
+	}
+}
+
+// TestLoaderHonorsBuildConstraints: a file, its constrained-out
+// fallback and a file for another GOOS declare the same function;
+// loading more than one would be a redeclaration type error, which
+// lintModule reports.
+func TestLoaderHonorsBuildConstraints(t *testing.T) {
+	otherOS := "plan9"
+	if runtime.GOOS == otherOS {
+		otherOS = "windows"
+	}
+	root := writeModule(t, map[string]string{
+		"go.mod": testGoMod,
+		"a/on.go": `//go:build !diverselint_never
+
+package a
+
+func f() int { return 1 }
+`,
+		"a/off.go": `//go:build diverselint_never
+
+package a
+
+func f() int { return 2 }
+`,
+		"a/f_" + otherOS + ".go": `package a
+
+func f() int { return 3 }
+`,
+	})
+	for _, f := range lintModule(t, root) {
+		t.Errorf("unexpected finding: %s", f)
 	}
 }

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -144,7 +145,9 @@ func (l *Loader) importDep(path string) (*types.Package, error) {
 }
 
 // parseDir parses the non-test (plus, optionally, in-package test)
-// files of one directory.
+// files of one directory that the go command would build for the host:
+// build constraints and _GOOS/_GOARCH file suffixes apply, so a
+// per-architecture file and its fallback are never loaded together.
 func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -160,6 +163,11 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 			continue
 		}
 		if strings.HasSuffix(name, "_test.go") && !l.IncludeTests {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, fmt.Errorf("analysis: %w", err)
+		} else if !ok {
 			continue
 		}
 		names = append(names, name)

@@ -142,18 +142,28 @@ func (a *Allocation) Aggregates() []GroupAgg {
 }
 
 // aggregatesInto recomputes the aggregates into an existing slice
-// (len = K), sparing hot loops the allocation. The accumulation order
-// is identical to Aggregates, so results are bit-for-bit equal.
+// (len = K), sparing hot loops the allocation. Every group goes through
+// groupAgg, the routine CDS reconciles touched groups with, so the two
+// agree bit for bit by construction.
 func (a *Allocation) aggregatesInto(agg []GroupAgg) {
-	for i := range agg {
-		agg[i] = GroupAgg{}
+	for c := range agg {
+		agg[c] = a.groupAgg(c)
 	}
-	for pos, c := range a.channel {
-		it := a.db.Item(pos)
-		agg[c].F += it.Freq
-		agg[c].Z += it.Size
-		agg[c].N++
+}
+
+// groupAgg sums channel c's members in ascending position. The sums run
+// in locals straight off the item slice: the float additions, their
+// order and hence the bits are fixed by the position list alone.
+func (a *Allocation) groupAgg(c int) GroupAgg {
+	items := a.db.items
+	var f, z float64
+	m := a.members[c]
+	for _, pos := range m {
+		it := &items[pos]
+		f += it.Freq
+		z += it.Size
 	}
+	return GroupAgg{F: f, Z: z, N: len(m)}
 }
 
 // Clone returns a deep copy that can be mutated independently (the

@@ -48,7 +48,8 @@ type CDS struct {
 	// naive oracle's output, so the fast engine is the default.
 	Strategy CDSStrategy
 
-	// Tracer receives one cds_refine span per call with a cds_move
+	// Tracer receives one cds_refine span per call, tagged with the
+	// strategy and the member scan ("avx2" or "go"), with a cds_move
 	// child per applied move (item, src/dst groups, the Eq. 4 Δc,
 	// strategy tag). nil selects the process-wide trace.Default(),
 	// which starts disabled, so the zero value stays probe-free until
@@ -169,11 +170,17 @@ func (c *CDS) refine(a *Allocation, wantTrace bool) (*Allocation, []Move, error)
 	}
 
 	var sel moveSelector
+	// kernel names the member scan the refinement runs, for the trace.
+	kernel := "go"
 	switch c.Strategy {
 	case StrategyNaive:
 		sel = &naiveSelector{cur: cur, agg: agg}
 	case StrategyIncremental:
-		sel = newIncrementalSelector(cur, agg)
+		inc := newIncrementalSelector(cur, agg)
+		if inc.arr != nil {
+			kernel = "avx2"
+		}
+		sel = inc
 	default:
 		return nil, nil, fmt.Errorf("core: CDS: unknown strategy %v", c.Strategy)
 	}
@@ -192,7 +199,7 @@ func (c *CDS) refine(a *Allocation, wantTrace bool) (*Allocation, []Move, error)
 	if tr.Enabled() {
 		strat := c.Strategy.String()
 		stratTag = trace.Str("strategy", strat)
-		span = tr.Start(spanCDSRefine, stratTag,
+		span = tr.Start(spanCDSRefine, stratTag, trace.Str("kernel", kernel),
 			trace.Int("n", int64(cur.db.Len())), trace.Int("k", int64(cur.k)),
 			trace.Float("cost", cost))
 	}
@@ -263,21 +270,13 @@ func (c *CDS) refine(a *Allocation, wantTrace bool) (*Allocation, []Move, error)
 	return cur, moves, nil
 }
 
-// reconcileGroup rebuilds agg[g] from the allocation. Accumulating
-// over the group's position list in ascending order is the same
-// per-group order Aggregates uses, so the result is bit-for-bit what
-// a full recomputation would produce.
+// reconcileGroup rebuilds agg[g] from the allocation with groupAgg,
+// the routine Aggregates runs per group, so the result is bit-for-bit
+// what a full recomputation would produce.
 //
 //diverselint:hotpath per-applied-move aggregate reconciliation
 func reconcileGroup(cur *Allocation, agg []GroupAgg, g int) {
-	db := cur.Database()
-	agg[g] = GroupAgg{}
-	for _, pos := range cur.ChannelPositions(g) {
-		it := db.Item(pos)
-		agg[g].F += it.Freq
-		agg[g].Z += it.Size
-		agg[g].N++
-	}
+	agg[g] = cur.groupAgg(g)
 }
 
 // naiveSelector is the paper's literal selection: every (item,
@@ -359,6 +358,9 @@ type incrementalSelector struct {
 	agg []GroupAgg
 	k   int
 	fzt []cdsItem // per database position
+	// arr is the member arrays refresh's AVX2 kernel streams; nil below
+	// the kernel's crossover or without AVX2, where refresh gathers fzt.
+	arr *memberArrays
 	// dc and pos are the K×K cells, row-major by source group.
 	dc  []float64
 	pos []int32
@@ -408,6 +410,9 @@ func newIncrementalSelector(cur *Allocation, agg []GroupAgg) *incrementalSelecto
 		s.raiseLim(cur.channel[i], x)
 	}
 	s.zcap, s.fcap = cur.db.totalSize*capPad, cur.db.totalFreq*capPad
+	if cur.db.Len()/k >= kernelFloor {
+		s.arr = newMemberArrays(cur, s.fzt)
+	}
 	negInf := math.Inf(-1)
 	for p := 0; p < k; p++ {
 		for q := 0; q < k; q++ {
@@ -439,7 +444,9 @@ func (s *incrementalSelector) rise(l cdsItem, dz, df float64) float64 {
 // only a strictly larger Δc displaces the running maximum. The maximum
 // runs over orderKeys, not floats: the compiler turns an integer
 // running max into conditional moves, while a float one stays a branch
-// that mispredicts whenever database position correlates with Δc.
+// that mispredicts whenever database position correlates with Δc. With
+// member arrays the scan runs in the AVX2 kernel instead, which
+// returns the same maximum and first member (DESIGN.md §2).
 func (s *incrementalSelector) refresh(c, p int) {
 	ap, aq := s.agg[p], s.agg[c-p*s.k]
 	// MoveReduction with the aggregate differences and the 2·f·z term
@@ -448,10 +455,16 @@ func (s *incrementalSelector) refresh(c, p int) {
 	best, bestPos := orderKey(math.Inf(-1)), int32(-1)
 	members, fzt := s.cur.ChannelPositions(p), s.fzt
 	s.recomputed += int64(len(members))
-	for _, pos := range members {
-		it := fzt[pos]
-		if key := orderKey(it.f*dz + it.z*df - it.tfz); key > best {
-			best, bestPos = key, int32(pos)
+	if s.arr != nil {
+		if key, at := s.arr.scan(p, len(members), dz, df); at >= 0 {
+			best, bestPos = key, int32(members[at])
+		}
+	} else {
+		for _, pos := range members {
+			it := fzt[pos]
+			if key := orderKey(it.f*dz + it.z*df - it.tfz); key > best {
+				best, bestPos = key, int32(pos)
+			}
 		}
 	}
 	s.dc[c], s.pos[c] = keyFloat(best), bestPos
@@ -554,6 +567,9 @@ func (s *incrementalSelector) applied(m Move) {
 	s.prev[from], s.prev[to] = nf, nt
 	x := s.fzt[m.Pos]
 	s.raiseLim(to, x)
+	if s.arr != nil {
+		s.arr.moved(s.cur, s.fzt, m.Pos, from, to)
+	}
 	negInf := math.Inf(-1)
 
 	// Row from and column to fall: keep their values as bounds. An

@@ -172,14 +172,17 @@ func TestCDSStrategiesIdenticalOnPaperExample(t *testing.T) {
 
 // TestCDSStrategiesIdenticalOnTies is the differential gate on
 // tie-heavy instances: 320 seeds of 6–65 items drawn from two
-// frequencies and two sizes, random starts, K = 2–7.
+// frequencies and two sizes, random starts, K = 2–7, with refresh's
+// scalar loop and with its AVX2 kernel.
 func TestCDSStrategiesIdenticalOnTies(t *testing.T) {
-	for seed := 0; seed < 320; seed++ {
-		n := 6 + seed%60
-		k := 2 + seed%6
-		db := tieDatabase(t, seed, n)
-		assertIdenticalTraces(t, randomAllocation(t, db, k, seed+1000), 0)
-	}
+	withKernel(t, func(t *testing.T) {
+		for seed := 0; seed < 320; seed++ {
+			n := 6 + seed%60
+			k := 2 + seed%6
+			db := tieDatabase(t, seed, n)
+			assertIdenticalTraces(t, randomAllocation(t, db, k, seed+1000), 0)
+		}
+	})
 }
 
 // checkSelectorTable cross-checks the lazy-bound table against a fresh
@@ -400,8 +403,10 @@ func TestCDSConfigErrors(t *testing.T) {
 // incremental table and the naive oracle. shape picks the database:
 // 0 a synthetic diverse one, 1 the paper example, 2 a tie-heavy one
 // (tieDatabase), 3 an extreme-magnitude one (extremeDatabase); the fuzzer then explores sizes, channel counts and
-// arbitrary starting assignments. Any divergence between the engines
-// — even a single bit of one Δc — is a crash.
+// arbitrary starting assignments. Every input runs with refresh's
+// scalar loop and, on AVX2 hosts, with its kernel forced. Any
+// divergence between the engines — even a single bit of one Δc — is a
+// crash.
 func FuzzCDSStrategies(f *testing.F) {
 	const (
 		shapeDiverse = iota
@@ -444,6 +449,6 @@ func FuzzCDSStrategies(f *testing.F) {
 		if err != nil {
 			t.Fatalf("constructed allocation invalid: %v", err)
 		}
-		assertIdenticalTraces(t, a, 0)
+		withKernel(t, func(t *testing.T) { assertIdenticalTraces(t, a, 0) })
 	})
 }

@@ -52,4 +52,25 @@ func TestHotPathContractsAllocFree(t *testing.T) {
 		})
 		alloctest.MustZeroAllocs(t, "incrementalSelector.applied", 2, pingPong(cur, agg, sel))
 	})
+
+	// The gate above runs the scalar refresh (N=96 over K=6 is below
+	// the kernel's crossover); this one is large enough for the default
+	// crossover to build the member arrays, so applied moves them and
+	// refreshes through the AVX2 kernel.
+	t.Run("incrementalSelectorKernel", func(t *testing.T) {
+		if !haveAVX2() {
+			t.Skip("no AVX2 on this host")
+		}
+		db := randomDatabase(t, 11, 6*kernelMinMean)
+		cur := randomAllocation(t, db, 6, 7)
+		agg := cur.Aggregates()
+		sel := newIncrementalSelector(cur, agg)
+		if sel.arr == nil {
+			t.Fatalf("N=%d over K=6 built no member arrays", db.Len())
+		}
+		alloctest.MustZeroAllocs(t, "incrementalSelector.applied (kernel)", 2, pingPong(cur, agg, sel))
+		alloctest.MustZeroAllocs(t, "memberArrays.layout", 2, func() {
+			sel.arr.layout(cur, sel.fzt)
+		})
+	})
 }

@@ -164,3 +164,38 @@ func TestAllocatorsQuietWithoutTracer(t *testing.T) {
 		t.Fatalf("default tracer captured %d records while disabled", n)
 	}
 }
+
+// TestCDSTraceKernelAttr checks the cds_refine span's kernel tag: the
+// member scan the refinement actually ran, "avx2" only when the
+// incremental selector built member arrays.
+func TestCDSTraceKernelAttr(t *testing.T) {
+	db := PaperExampleDatabase()
+	a := randomAllocation(t, db, PaperExampleK, 1)
+	for _, tc := range []struct {
+		name  string
+		strat CDSStrategy
+		floor int
+		want  string
+	}{
+		{"incremental scalar", StrategyIncremental, noKernel, "go"},
+		{"incremental kernel", StrategyIncremental, 0, "avx2"},
+		{"naive", StrategyNaive, 0, "go"},
+	} {
+		if tc.want == "avx2" && !haveAVX2() {
+			continue
+		}
+		restore := setKernelFloor(tc.floor)
+		tr := trace.New(trace.Config{Capacity: 64, Clock: &trace.ManualClock{}})
+		if _, err := (&CDS{Strategy: tc.strat, Tracer: tr}).Refine(a); err != nil {
+			t.Fatal(err)
+		}
+		restore()
+		roots := tr.Snapshot().Named("cds_refine")
+		if len(roots) != 1 {
+			t.Fatalf("%s: captured %d cds_refine spans, want 1", tc.name, len(roots))
+		}
+		if got, _ := roots[0].Attr("kernel"); got.Str != tc.want {
+			t.Errorf("%s: kernel attr = %+v, want %q", tc.name, got, tc.want)
+		}
+	}
+}
