@@ -34,13 +34,14 @@ benchmod:
 # (CI pins it; offline dev containers may not have it, so its absence
 # is not an error here).
 #
-# The diverselint invocations carry a runtime budget: the suite now
-# rebuilds the whole-program call graph and function summaries on
-# every run, and that cost must stay inner-loop cheap. Blowing the
-# budget fails the target so an interprocedural regression (a
-# fixpoint that stopped converging, say) is caught as a perf bug, not
-# absorbed as slow CI. Staticcheck runs outside the budget — its
-# runtime is not ours to control.
+# The diverselint invocations carry a runtime budget: every run builds
+# the whole-program call graph, the lock and hot-error summaries that
+# lockbalance, lockorder and errdrop read, and the allocation
+# summaries behind hotalloc, loopalloc and -hot, and that cost must
+# stay inner-loop cheap. Blowing the budget fails the target so an
+# interprocedural regression (a fixpoint that stopped converging,
+# say) is caught as a perf bug, not absorbed as slow CI. Staticcheck
+# runs outside the budget — its runtime is not ours to control.
 LINT_BUDGET ?= 60
 lint: $(DIVERSELINT)
 	@start=$$(date +%s); \

@@ -30,7 +30,6 @@ type cgNode struct {
 	EntryHeld  []string `json:"entry_held,omitempty"`
 	HotError   bool     `json:"hot_error,omitempty"`
 	Spawns     int      `json:"spawns,omitempty"`
-	Accesses   int      `json:"accesses,omitempty"`
 
 	// Allocation summary (internal/analysis/escape): the function's
 	// own ungated site count, the transitive Allocates bit with the
@@ -49,23 +48,14 @@ type cgEdge struct {
 	Pos  string `json:"pos"`
 }
 
-type cgGuard struct {
-	Field  string `json:"field"`
-	Lock   string `json:"lock,omitempty"`
-	None   bool   `json:"none,omitempty"`
-	Reason string `json:"reason,omitempty"`
-	Error  string `json:"error,omitempty"`
-}
-
 type cgReport struct {
-	Nodes  []cgNode  `json:"nodes"`
-	Edges  []cgEdge  `json:"edges"`
-	SCCs   [][]int   `json:"sccs"`
-	Guards []cgGuard `json:"guards"`
+	Nodes []cgNode `json:"nodes"`
+	Edges []cgEdge `json:"edges"`
+	SCCs  [][]int  `json:"sccs"`
 }
 
 func emitCallgraph(prog *summary.Program) int {
-	rep := cgReport{Nodes: []cgNode{}, Edges: []cgEdge{}, SCCs: [][]int{}, Guards: []cgGuard{}}
+	rep := cgReport{Nodes: []cgNode{}, Edges: []cgEdge{}, SCCs: [][]int{}}
 	for _, n := range prog.Graph.Nodes {
 		jn := cgNode{
 			ID:   n.ID,
@@ -80,7 +70,6 @@ func emitCallgraph(prog *summary.Program) int {
 			jn.EntryHeld = lockStrings(mapKeysSet(s.EntryHeld))
 			jn.HotError = s.HotError
 			jn.Spawns = len(s.Spawns)
-			jn.Accesses = len(s.Accesses)
 		}
 		if fi := prog.Alloc.Of(n); fi != nil {
 			jn.AllocSites = len(fi.Sites)
@@ -105,15 +94,6 @@ func emitCallgraph(prog *summary.Program) int {
 			ids[i] = n.ID
 		}
 		rep.SCCs = append(rep.SCCs, ids)
-	}
-	for _, g := range prog.Guards {
-		rep.Guards = append(rep.Guards, cgGuard{
-			Field:  string(g.Field),
-			Lock:   string(g.Lock),
-			None:   g.None,
-			Reason: g.Reason,
-			Error:  g.Err,
-		})
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")

@@ -6,7 +6,6 @@ import (
 	"go/ast"
 	"go/token"
 	"os"
-	"strings"
 
 	"diversecast/internal/analysis"
 	"diversecast/internal/analysis/escape"
@@ -79,15 +78,6 @@ func buildSuppIndex(fset *token.FileSet, pkgs []*analysis.Package) suppIndex {
 	return idx
 }
 
-// passFor names the analyzer that reports a site kind, which is the
-// analyzer an ignore directive must name to suppress it.
-func passFor(k escape.SiteKind) string {
-	if k == escape.Box {
-		return "boxparam"
-	}
-	return "hotalloc"
-}
-
 func buildHotReport(prog *summary.Program, pkgs []*analysis.Package) []hotRoot {
 	alloc := prog.Alloc
 	idx := buildSuppIndex(prog.Fset, pkgs)
@@ -112,7 +102,7 @@ func buildHotReport(prog *summary.Program, pkgs []*analysis.Package) []hotRoot {
 				Via:  r.Via(f.Node),
 			}
 			for _, dir := range idx[pos.Filename][pos.Line] {
-				if dir.Matches(passFor(f.Site.Kind)) {
+				if dir.Matches("hotalloc") {
 					js.Suppressed = true
 					js.Reason = dir.Reason
 					suppressed++
@@ -191,12 +181,15 @@ func emitHot(prog *summary.Program, pkgs []*analysis.Package, jsonOut bool) int 
 	return 0
 }
 
-// auditPathDirectives inventories the //diverselint:hotpath and
-// //diverselint:coldpath directives of one parsed file for -audit.
-// Violations: a coldpath without its mandatory reason, and either
+// auditDirectives inventories the //diverselint:hotpath and
+// //diverselint:coldpath directives of one parsed file for -audit
+// (ignore directives are FileSuppressions' to parse).
+// Violations: a coldpath without its mandatory reason, either
 // directive placed anywhere but a function's doc comment (where the
-// analysis cannot see it — a silently dead annotation).
-func auditPathDirectives(fset *token.FileSet, f *ast.File) (entries, violations []string) {
+// analysis cannot see it — a silently dead annotation), and any
+// //diverselint:<verb> other than ignore, hotpath and coldpath — a
+// misspelled verb is a directive nothing reads.
+func auditDirectives(fset *token.FileSet, f *ast.File) (entries, violations []string) {
 	inDoc := make(map[*ast.Comment]bool)
 	for _, d := range f.Decls {
 		fd, ok := d.(*ast.FuncDecl)
@@ -209,18 +202,16 @@ func auditPathDirectives(fset *token.FileSet, f *ast.File) (entries, violations 
 	}
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			var kind, rest string
-			switch {
-			case strings.HasPrefix(text, "diverselint:hotpath"):
-				kind, rest = "hotpath", strings.TrimPrefix(text, "diverselint:hotpath")
-			case strings.HasPrefix(text, "diverselint:coldpath"):
-				kind, rest = "coldpath", strings.TrimPrefix(text, "diverselint:coldpath")
-			default:
+			kind, rest, ok := analysis.ParseDirective(c)
+			if !ok || kind == "ignore" {
 				continue
 			}
 			pos := fset.Position(c.Pos())
-			rest = strings.TrimSpace(rest)
+			if kind != "hotpath" && kind != "coldpath" {
+				violations = append(violations,
+					fmt.Sprintf("%s: unknown directive //diverselint:%s (want ignore, hotpath or coldpath)", pos, kind))
+				continue
+			}
 			if !inDoc[c] {
 				violations = append(violations,
 					fmt.Sprintf("%s: //diverselint:%s outside a function doc comment has no effect", pos, kind))

@@ -2,9 +2,9 @@
 // (internal/analysis/passes): the correctness invariants PR 1 fixed
 // by hand, encoded as machine checks.
 //
-// Standalone:
+// Linting:
 //
-//	diverselint [-tests] [-show-suppressed] [-json] [-only floatdet,locksend] [packages]
+//	diverselint [-tests] [-show-suppressed] [-json] [-only floatdet,lockorder] [packages]
 //
 // with packages defaulting to ./... of the enclosing module. Exit
 // status is 1 when unsuppressed findings exist, 2 on operational
@@ -26,20 +26,12 @@
 //
 //	diverselint -audit [packages]
 //
-// walks every //diverselint:ignore, //diverselint:hotpath and
-// //diverselint:coldpath directive in the matched packages (test
-// files included) without type-checking, prints the directive
-// inventory, and fails (exit 1) on any directive that is malformed,
-// names an unknown analyzer, or sits where the analysis cannot see it
-// — so the tree's escape hatches stay documented and spellable.
-//
-// As a go vet tool (the unitchecker protocol):
-//
-//	go vet -vettool=$(which diverselint) ./...
-//
-// In this mode the go command hands the tool one pre-planned
-// package at a time (a JSON .cfg file plus compiled export data for
-// its imports), which also covers _test.go files.
+// walks every //diverselint: directive in the matched packages (test
+// files included) without type-checking, prints the inventory of
+// ignore, hotpath and coldpath directives, and fails (exit 1) on any
+// directive that is malformed, names an unknown analyzer, uses
+// another verb, or sits where the analysis cannot see it — so the
+// tree's escape hatches stay documented and spellable.
 //
 // Findings are suppressed by an in-code justification:
 //
@@ -49,7 +41,6 @@
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -72,40 +63,17 @@ func main() {
 func run(args []string) int {
 	fs := flag.NewFlagSet("diverselint", flag.ExitOnError)
 	var (
-		vFlag          = fs.String("V", "", "print version and exit (go vet protocol)")
-		flagsFlag      = fs.Bool("flags", false, "print analyzer flags as JSON (go vet protocol)")
 		listFlag       = fs.Bool("list", false, "list analyzers and exit")
-		testsFlag      = fs.Bool("tests", false, "also lint _test.go files of each package (standalone mode)")
+		testsFlag      = fs.Bool("tests", false, "also lint _test.go files of each package")
 		showSuppressed = fs.Bool("show-suppressed", false, "also print suppressed findings (marked, not counted)")
 		onlyFlag       = fs.String("only", "", "comma-separated analyzer subset to run")
-		jsonFlag       = fs.Bool("json", false, "emit one JSON report on stdout instead of lines (standalone mode)")
-		auditFlag      = fs.Bool("audit", false, "audit //diverselint:ignore and hotpath/coldpath directives instead of linting")
-		hotFlag        = fs.Bool("hot", false, "report //diverselint:hotpath roots and their allocation status instead of linting (standalone mode)")
-		callgraphFlag  = fs.Bool("callgraph", false, "dump the whole-program call graph and function summaries as JSON instead of linting (standalone mode)")
+		jsonFlag       = fs.Bool("json", false, "emit one JSON report on stdout instead of lines")
+		auditFlag      = fs.Bool("audit", false, "audit every //diverselint: directive (ignore, hotpath, coldpath) instead of linting")
+		hotFlag        = fs.Bool("hot", false, "report //diverselint:hotpath roots and their allocation status instead of linting")
+		callgraphFlag  = fs.Bool("callgraph", false, "dump the whole-program call graph and function summaries as JSON instead of linting")
 	)
 	fs.Parse(args)
 
-	if *vFlag != "" {
-		// The go command fingerprints vet tools for its build cache;
-		// for a "devel" tool it requires a buildID, so hash our own
-		// executable (the unitchecker convention) — editing an
-		// analyzer then correctly invalidates cached vet results.
-		exe, err := os.Executable()
-		if err == nil {
-			var h [sha256.Size]byte
-			if data, rerr := os.ReadFile(exe); rerr == nil {
-				h = sha256.Sum256(data)
-			}
-			fmt.Printf("diverselint version devel buildID=%x\n", h)
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, "diverselint:", err)
-		return 2
-	}
-	if *flagsFlag {
-		fmt.Println("[]")
-		return 0
-	}
 	if *listFlag {
 		for _, a := range passes.All() {
 			fmt.Printf("%-10s %s\n", a.Name, a.Doc)
@@ -123,10 +91,7 @@ func run(args []string) int {
 	if *auditFlag {
 		return audit(rest)
 	}
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return unitcheck(rest[0], analyzers)
-	}
-	return standalone(rest, analyzers, standaloneOpts{
+	return lint(rest, analyzers, lintOpts{
 		tests:          *testsFlag,
 		showSuppressed: *showSuppressed,
 		jsonOut:        *jsonFlag,
@@ -135,7 +100,7 @@ func run(args []string) int {
 	})
 }
 
-type standaloneOpts struct {
+type lintOpts struct {
 	tests          bool
 	showSuppressed bool
 	jsonOut        bool
@@ -163,9 +128,9 @@ func selectAnalyzers(only string) ([]*analysis.Analyzer, error) {
 	return out, nil
 }
 
-// standalone loads the module around the working directory and lints
+// lint loads the module around the working directory and lints
 // the matching packages.
-func standalone(patterns []string, analyzers []*analysis.Analyzer, opts standaloneOpts) int {
+func lint(patterns []string, analyzers []*analysis.Analyzer, opts lintOpts) int {
 	cwd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "diverselint:", err)
@@ -286,11 +251,11 @@ func emitJSON(findings []analysis.Finding, hotRoots []hotRoot) int {
 	return 0
 }
 
-// audit walks every //diverselint:ignore directive in the matched
-// packages — parse-only, test files included — prints the inventory,
-// and fails on directives that are malformed or name analyzers that
-// do not exist (a typo there silently un-suppresses nothing and
-// suppresses nothing: it deserves to break the build).
+// audit walks every //diverselint: directive in the matched packages
+// — parse-only, test files included — prints the inventory, and fails
+// on directives that are malformed, name analyzers that do not exist,
+// or misspell their verb (a typo there silently suppresses nothing or
+// declares no contract: it deserves to break the build).
 func audit(patterns []string) int {
 	cwd, err := os.Getwd()
 	if err != nil {
@@ -340,7 +305,7 @@ func audit(patterns []string) int {
 				violations++
 				fmt.Printf("%s: malformed //diverselint:ignore: need an analyzer list and a reason\n", m.Pos)
 			}
-			pathEntries, pathViolations := auditPathDirectives(fset, f)
+			pathEntries, pathViolations := auditDirectives(fset, f)
 			for _, v := range pathViolations {
 				violations++
 				fmt.Printf("%s\n", v)

@@ -61,72 +61,6 @@ func TestSelfLint(t *testing.T) {
 	}
 }
 
-// TestVetToolProtocol builds the binary and drives it through the
-// real `go vet -vettool` protocol against a throwaway module
-// containing one reintroduced lock-send bug: the go command must
-// accept the tool's version handshake and relay its diagnostic.
-func TestVetToolProtocol(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary and runs go vet; skipped in -short")
-	}
-	gobin, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("go command not on PATH")
-	}
-
-	tmp := t.TempDir()
-	tool := filepath.Join(tmp, "diverselint")
-	build := exec.Command(gobin, "build", "-o", tool, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building diverselint: %v\n%s", err, out)
-	}
-
-	modDir := filepath.Join(tmp, "mod")
-	if err := os.MkdirAll(modDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	writeFile := func(name, content string) {
-		t.Helper()
-		if err := os.WriteFile(filepath.Join(modDir, name), []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeFile("go.mod", "module example.com/bad\n\ngo 1.24\n")
-	writeFile("bad.go", `package bad
-
-import "sync"
-
-type fan struct {
-	mu   sync.Mutex
-	subs map[chan int]struct{}
-}
-
-func (f *fan) send(v int) {
-	f.mu.Lock()
-	for ch := range f.subs {
-		ch <- v
-	}
-	f.mu.Unlock()
-}
-`)
-
-	vet := exec.Command(gobin, "vet", "-vettool="+tool, "./...")
-	vet.Dir = modDir
-	// An isolated GOFLAGS environment keeps the test hermetic under
-	// whatever flags the outer invocation carries.
-	vet.Env = append(os.Environ(), "GOFLAGS=")
-	var out bytes.Buffer
-	vet.Stdout = &out
-	vet.Stderr = &out
-	err = vet.Run()
-	if err == nil {
-		t.Fatalf("go vet accepted the lock-send bug; output:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "blocking channel send while holding") {
-		t.Fatalf("go vet failed without the locksend diagnostic: %v\n%s", err, out.String())
-	}
-}
-
 // buildTool compiles the diverselint binary into a temp dir and
 // returns its path.
 func buildTool(t *testing.T) string {
@@ -297,9 +231,9 @@ var a = 0
 
 // TestCallgraphDump drives -callgraph end to end: the dump must be
 // valid JSON carrying the summary facts the interprocedural passes
-// run on (net-acquire effects, go/defer edge kinds, guard
-// directives), and two runs over the same tree must be byte-identical
-// — the determinism contract CI relies on when diffing artifacts.
+// run on (net-acquire effects, spawn sites, go/defer edge kinds), and
+// two runs over the same tree must be byte-identical — the
+// determinism contract CI relies on when diffing artifacts.
 func TestCallgraphDump(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary; skipped in -short")
@@ -313,8 +247,7 @@ import "sync"
 
 type box struct {
 	mu sync.Mutex
-	//diverselint:guard mu
-	n int
+	n  int
 }
 
 func (b *box) lockIt() { b.mu.Lock() }
@@ -341,16 +274,11 @@ func (b *box) tick() {}
 			Name       string   `json:"name"`
 			NetAcquire []string `json:"net_acquire"`
 			Spawns     int      `json:"spawns"`
-			Accesses   int      `json:"accesses"`
 		} `json:"nodes"`
 		Edges []struct {
 			Kind string `json:"kind"`
 		} `json:"edges"`
-		SCCs   [][]int `json:"sccs"`
-		Guards []struct {
-			Field string `json:"field"`
-			Lock  string `json:"lock"`
-		} `json:"guards"`
+		SCCs [][]int `json:"sccs"`
 	}
 	if err := json.Unmarshal([]byte(out), &rep); err != nil {
 		t.Fatalf("-callgraph output is not JSON: %v\n%s", err, out)
@@ -368,8 +296,8 @@ func (b *box) tick() {}
 		t.Errorf("lockIt net_acquire = %v, want [example.com/cg.box.mu]", got)
 	}
 	work, ok := byName["(*example.com/cg.box).Work"]
-	if !ok || rep.Nodes[work].Spawns != 1 || rep.Nodes[work].Accesses != 1 {
-		t.Errorf("Work node: ok=%v spawns/accesses=%+v, want 1/1", ok, rep.Nodes[work])
+	if !ok || rep.Nodes[work].Spawns != 1 {
+		t.Errorf("Work node: ok=%v spawns=%+v, want 1", ok, rep.Nodes[work])
 	}
 	kinds := map[string]bool{}
 	for _, e := range rep.Edges {
@@ -382,9 +310,6 @@ func (b *box) tick() {}
 	}
 	if len(rep.SCCs) != len(rep.Nodes) {
 		t.Errorf("%d SCCs for %d nodes; the acyclic corpus should have one per node", len(rep.SCCs), len(rep.Nodes))
-	}
-	if len(rep.Guards) != 1 || rep.Guards[0].Field != "example.com/cg.box.n" || rep.Guards[0].Lock != "example.com/cg.box.mu" {
-		t.Errorf("guards = %+v, want the declared box.n guarded-by box.mu", rep.Guards)
 	}
 
 	code2, out2 := runTool(t, tool, modDir, "-callgraph", "./...")
@@ -577,5 +502,39 @@ func Cold() {}
 	}
 	if !strings.Contains(out, "coldpath: construction happens once at startup") {
 		t.Errorf("-audit inventory does not list the coldpath reason:\n%s", out)
+	}
+}
+
+// TestAuditUnknownDirectiveVerbs: a misspelled verb and a verb with a
+// glued suffix are directives nothing reads, so -audit must reject
+// both instead of counting them as hotpath contracts.
+func TestAuditUnknownDirectiveVerbs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary; skipped in -short")
+	}
+	tool := buildTool(t)
+	dir := writeModule(t, map[string]string{
+		"go.mod": "module example.com/hp\n\ngo 1.24\n",
+		"hp.go": `package hp
+
+//diverselint:hotpth fan-out must not allocate
+func Typo() {}
+
+//diverselint:hotpathX fan-out must not allocate
+func Glued() {}
+`,
+	})
+	code, out := runTool(t, tool, dir, "-audit", "./...")
+	if code != 1 {
+		t.Fatalf("-audit with unknown verbs: exit %d, want 1\n%s", code, out)
+	}
+	for _, want := range []string{
+		"unknown directive //diverselint:hotpth",
+		"unknown directive //diverselint:hotpathX",
+		"0 hotpath/coldpath directive(s), 2 violation(s)",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("-audit output missing %q:\n%s", want, out)
+		}
 	}
 }

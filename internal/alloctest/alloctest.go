@@ -1,5 +1,5 @@
 // Package alloctest binds diverselint's static hot-path contracts to
-// runtime truth. The hotalloc/boxparam/loopalloc passes prove that no
+// runtime truth. The hotalloc/loopalloc passes prove that no
 // allocation site is *reachable* from a //diverselint:hotpath root;
 // the gate tests built on this package prove the compiler agreed — no
 // missed escape, no interface boxing the type checker saw but the

@@ -50,10 +50,9 @@ type Pass struct {
 	// Inter carries the whole-program interprocedural state shared by
 	// every pass in a run — concretely a *summary.Program (declared
 	// `any` here because summary imports this package). Per-function
-	// passes ignore it; the interprocedural passes (guardrace,
-	// lockorder, and the summary-aware lockbalance/errdrop upgrades)
-	// type-assert it and degrade to intraprocedural behavior when it
-	// is absent.
+	// passes ignore it. lockorder and the allocation passes
+	// type-assert it and report nothing without it; lockbalance and
+	// errdrop degrade to intraprocedural behavior.
 	Inter any
 
 	// Report delivers one diagnostic. The driver fills position
@@ -111,8 +110,8 @@ const (
 )
 
 // lock method full names, resolved through go/types so promoted
-// methods of embedded mutexes match too. Shared by the locksend and
-// lockbalance passes.
+// methods of embedded mutexes match too. Shared by the lockbalance
+// pass and the lock summaries.
 var (
 	lockAcquireMethods = map[string]bool{
 		"(*sync.Mutex).Lock":    true,
@@ -147,52 +146,4 @@ func ClassifyLockCall(info *types.Info, e ast.Expr) (recv, method string, op Loc
 		return types.ExprString(sel.X), sel.Sel.Name, LockRelease
 	}
 	return "", "", LockNone
-}
-
-// LookupInterface finds the named interface type (e.g. path "net",
-// name "Conn") in pkg's transitive imports. It returns nil when the
-// package or name is absent — callers degrade gracefully rather than
-// fail, since an analyzed package that never imports net cannot be
-// holding one of its connections.
-func LookupInterface(pkg *types.Package, path, name string) *types.Interface {
-	seen := make(map[*types.Package]bool)
-	var find func(p *types.Package) *types.Interface
-	find = func(p *types.Package) *types.Interface {
-		if p == nil || seen[p] {
-			return nil
-		}
-		seen[p] = true
-		if p.Path() == path {
-			obj, ok := p.Scope().Lookup(name).(*types.TypeName)
-			if !ok {
-				return nil
-			}
-			iface, _ := obj.Type().Underlying().(*types.Interface)
-			return iface
-		}
-		for _, imp := range p.Imports() {
-			if iface := find(imp); iface != nil {
-				return iface
-			}
-		}
-		return nil
-	}
-	return find(pkg)
-}
-
-// ImplementsOrIs reports whether t is, points to, or implements the
-// interface iface (nil iface reports false).
-func ImplementsOrIs(t types.Type, iface *types.Interface) bool {
-	if iface == nil || t == nil {
-		return false
-	}
-	if types.Implements(t, iface) {
-		return true
-	}
-	if _, ok := t.Underlying().(*types.Pointer); !ok {
-		if types.Implements(types.NewPointer(t), iface) {
-			return true
-		}
-	}
-	return false
 }

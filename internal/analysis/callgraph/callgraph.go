@@ -1,7 +1,7 @@
 // Package callgraph builds a whole-program call graph over the
 // packages the diverselint loader produced — the interprocedural
-// skeleton under the summary layer and the guardrace/lockorder
-// passes.
+// skeleton under the lock and hot-error summaries and the escape
+// (allocation) layer.
 //
 // Every function declaration and every function literal becomes a
 // Node; call sites become Edges tagged with how control transfers:

@@ -1,7 +1,7 @@
 // Package escape computes per-function allocation summaries over the
 // cfg and callgraph layers — the performance analogue of the lock
 // summaries in internal/analysis/summary, and the shared substrate of
-// the hotalloc, loopalloc, and boxparam passes.
+// the hotalloc and loopalloc passes.
 //
 // For every function body the collector records each syntactic
 // allocation site: composite literals of slice/map kind (and &T{}
@@ -55,13 +55,6 @@ import (
 	"diversecast/internal/analysis"
 	"diversecast/internal/analysis/callgraph"
 	"diversecast/internal/analysis/cfg"
-)
-
-// The directive spellings (doc-comment lines on function
-// declarations).
-const (
-	HotDirective  = "//diverselint:hotpath"
-	ColdDirective = "//diverselint:coldpath"
 )
 
 // A SiteKind classifies one allocation site.
@@ -368,30 +361,22 @@ func (p *Program) scanDirectives(pkgs []*analysis.Package) {
 				node := p.Graph.NodeFor(fn)
 				fi := p.Funcs[node]
 				for _, c := range fd.Doc.List {
-					text := strings.TrimSpace(c.Text)
+					verb, rest, _ := analysis.ParseDirective(c)
 					switch {
-					case text == HotDirective || strings.HasPrefix(text, HotDirective+" "):
+					case verb == "hotpath":
 						if fi != nil {
 							fi.HotRoot = true
-							fi.HotNote = strings.TrimSpace(strings.TrimPrefix(text, HotDirective))
+							fi.HotNote = rest
 						}
-					case text == ColdDirective:
+					case verb == "coldpath" && rest == "":
 						p.Malformed = append(p.Malformed, Malformed{
 							Pos: c.Pos(),
 							Msg: "//diverselint:coldpath needs a reason (why is this function off the hot path?)",
 						})
-					case strings.HasPrefix(text, ColdDirective+" "):
-						reason := strings.TrimSpace(strings.TrimPrefix(text, ColdDirective))
-						if reason == "" {
-							p.Malformed = append(p.Malformed, Malformed{
-								Pos: c.Pos(),
-								Msg: "//diverselint:coldpath needs a reason (why is this function off the hot path?)",
-							})
-							continue
-						}
+					case verb == "coldpath":
 						if fi != nil {
 							fi.Cold = true
-							fi.ColdReason = reason
+							fi.ColdReason = rest
 						}
 					}
 				}

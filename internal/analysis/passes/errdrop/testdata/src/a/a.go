@@ -59,3 +59,16 @@ func localDrop() {
 }
 
 func localErr() error { return nil }
+
+// Seeds errdrop-1 and errdrop-2 (internal/analysis/testdata/mutations):
+// the server handshake drops the Hello write's error and reads a
+// Subscribe from a peer that never got one; the client blanks the
+// Subscribe write's error and waits for frames that never come. No
+// test, race run or gate notices either.
+func handshake(hello any) {
+	wire.WriteJSON(hello) // want `error returned by wire\.WriteJSON is discarded`
+}
+
+func subscribe(sub any) {
+	_ = wire.WriteJSON(sub) // want `error returned by wire\.WriteJSON is assigned to _`
+}

@@ -106,3 +106,14 @@ func deferredWork(m map[int]float64) []func() {
 	}
 	return fns
 }
+
+// Seed floatdet-2 (internal/analysis/testdata/mutations): the hybrid
+// planner sums the pushed items' mass over its position→index map
+// instead of the sorted push positions. No test notices the low bits.
+func pushMass(pushIndex map[int]int, freq []float64) float64 {
+	var mass float64
+	for pos := range pushIndex {
+		mass += freq[pos] // want `ranging over a map`
+	}
+	return mass
+}

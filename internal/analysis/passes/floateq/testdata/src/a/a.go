@@ -48,3 +48,19 @@ func sum(xs []float64) float64 {
 	}
 	return s
 }
+
+// Seeds floateq-1 and floateq-2 (internal/analysis/testdata/mutations):
+// a program validator checks each slot's start and the cycle length
+// against the running sum of slot durations by == instead of within
+// a relative tolerance. Programs built and read back in the tests
+// reproduce the sums bit for bit, so nothing else notices.
+func slotsConsistent(starts, durations []float64, cycle float64) bool {
+	at := 0.0
+	for i, s := range starts {
+		if s != at { // want `computed floating-point values`
+			return false
+		}
+		at += durations[i]
+	}
+	return cycle == at // want `computed floating-point values`
+}

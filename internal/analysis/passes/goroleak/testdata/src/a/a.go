@@ -4,6 +4,7 @@ package a
 import (
 	"context"
 	"sync"
+	"time"
 )
 
 type client struct {
@@ -118,4 +119,35 @@ func (c *client) startWaiter() {
 // concern.
 func bootLog() {
 	go println("boot")
+}
+
+// Seeds goroleak-1 and ctxloop-3 (internal/analysis/testdata/mutations):
+// a metrics sampler ranges over its ticker, or loops on a bare ticker
+// receive, and never looks at the done channel its stop function
+// closes. stop returns, the sampler runs for the life of the process,
+// and no test notices.
+func startSampler(sample func()) (stop func()) {
+	done := make(chan struct{})
+	go func() { // want `goroutine has no join or cancel signal`
+		t := time.NewTicker(time.Second)
+		defer t.Stop()
+		for range t.C {
+			sample()
+		}
+	}()
+	var once sync.Once
+	return func() { once.Do(func() { close(done) }) }
+}
+
+func startTicking(sample func()) (stop func()) {
+	done := make(chan struct{})
+	go func() { // want `goroutine can never return`
+		t := time.NewTicker(time.Second)
+		for {
+			<-t.C
+			sample()
+		}
+	}()
+	var once sync.Once
+	return func() { once.Do(func() { close(done) }) }
 }

@@ -6,13 +6,14 @@
 // chain back to the hot root, so the finding reads as the reviewer
 // question it answers: "who dragged an allocation into the sweep?".
 //
-// Interface-boxing sites are boxparam's domain and excluded here;
+// Interface-boxing sites — a concrete, non-pointer-shaped value
+// passed where an interface (an any/error parameter or variadic) is
+// expected — are reported too, worded as boxing: the heap box is a
+// hidden allocation the caller never sees in the source. Constants,
+// pointer-shaped values and interface pass-throughs do not box.
 // //diverselint:coldpath prunes reachability (reason mandatory,
 // audited); sites that provably execute only when tracing is enabled
-// are exempt everywhere. Without whole-program summaries (vet mode
-// loads one package at a time) the pass still checks hot roots
-// against their same-package callees — the cross-package chains need
-// the standalone driver.
+// are exempt everywhere.
 package hotalloc
 
 import (
@@ -23,7 +24,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "hotalloc",
-	Doc:  "allocations reachable from //diverselint:hotpath roots",
+	Doc:  "allocations and interface boxing reachable from //diverselint:hotpath roots",
 	Run:  run,
 }
 
@@ -46,19 +47,20 @@ func run(pass *analysis.Pass) error {
 	}
 
 	for _, f := range prog.Alloc.HotFindings() {
-		if f.Site.Kind == escape.Box {
-			continue // boxparam reports these
-		}
 		if f.Node.Pkg.Path != pkgPath {
 			continue
 		}
+		verb := "allocates"
+		if f.Site.Kind == escape.Box {
+			verb = "boxes"
+		}
 		root := escape.ShortName(f.Root.Node.Name)
 		if via := f.Root.Via(f.Node); via != "" {
-			pass.Reportf(f.Site.Pos, "allocates on hot path from %s (via %s): %s",
-				root, via, f.Site.What)
+			pass.Reportf(f.Site.Pos, "%s on hot path from %s (via %s): %s",
+				verb, root, via, f.Site.What)
 		} else {
-			pass.Reportf(f.Site.Pos, "allocates on hot path from %s: %s",
-				root, f.Site.What)
+			pass.Reportf(f.Site.Pos, "%s on hot path from %s: %s",
+				verb, root, f.Site.What)
 		}
 	}
 	return nil

@@ -6,6 +6,7 @@ package hot
 
 import (
 	"fmt"
+	"io"
 
 	"trace"
 )
@@ -88,7 +89,7 @@ func each(n int, f func(int)) {
 }
 
 func stamp(x int64) int64 {
-	s := fmt.Sprintf("%d", x) // want `allocates on hot path from hot.Apply \(via hot.Apply\$0 -> hot.stamp\): call to fmt.Sprintf allocates`
+	s := fmt.Sprintf("%d", x) // want `allocates on hot path from hot.Apply \(via hot.Apply\$0 -> hot.stamp\): call to fmt.Sprintf allocates` `boxes on hot path from hot.Apply \(via hot.Apply\$0 -> hot.stamp\): int64 boxed into interface argument of fmt.Sprintf`
 	return int64(len(s)) + x
 }
 
@@ -106,4 +107,18 @@ func Publish(seq int64) *frame {
 func flush() {
 	b := make([]byte, 64)
 	_ = b
+}
+
+// Write is seed hotalloc-1 (internal/analysis/testdata/mutations): the
+// drain write formats its error into the connection outcome. Only the
+// error path allocates, and the runtime gate writes to a conn that
+// never fails, so no test sees it.
+//
+//diverselint:hotpath per-drain vectored write
+func Write(w io.Writer, p []byte, outcome *string) bool {
+	if _, err := w.Write(p); err != nil {
+		*outcome = fmt.Sprintf("write_error: %v", err) // want `allocates on hot path from hot.Write: call to fmt.Sprintf allocates`
+		return false
+	}
+	return true
 }

@@ -1,8 +1,7 @@
 // Package lockbalance flags mutexes acquired but not released on
 // every path to return or panic.
 //
-// This is the flow-sensitive upgrade of locksend's "held mutex"
-// heuristic: a real held-set dataflow over the function's CFG. The
+// The analysis is a held-set dataflow over the function's CFG. The
 // bug class is the early-return leak —
 //
 //	mu.Lock()

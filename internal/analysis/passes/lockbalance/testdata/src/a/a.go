@@ -140,3 +140,21 @@ var errBad = errType{}
 type errType struct{}
 
 func (errType) Error() string { return "bad" }
+
+// Seed lockbalance-3 (internal/analysis/testdata/mutations): the first
+// recorded error wins, and the early return for every later one skips
+// the Unlock. The server records at most one accept error, so no test
+// reaches the leak; the next Err() would deadlock.
+type server struct {
+	errMu   sync.Mutex
+	loopErr error
+}
+
+func (s *server) setErr(err error) {
+	s.errMu.Lock() // want `s\.errMu\.Lock\(\) is not released on every path to return`
+	if s.loopErr != nil {
+		return
+	}
+	s.loopErr = err
+	s.errMu.Unlock()
+}

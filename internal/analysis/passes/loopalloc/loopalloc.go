@@ -8,7 +8,7 @@
 // wider than hotalloc's: every function in a hot package is checked,
 // hot-reachable or not.
 //
-// Exemptions: interface-boxing sites (boxparam's domain), sites gated
+// Exemptions: interface-boxing sites (hotalloc reports them on hot paths), sites gated
 // on tracing being enabled, functions in _test.go files (tests and
 // benches allocate freely), and functions marked
 // //diverselint:coldpath with an audited reason — the setup/teardown

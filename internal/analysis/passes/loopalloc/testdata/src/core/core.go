@@ -108,3 +108,24 @@ func reuse(dst, src []int64) []int64 {
 	}
 	return out
 }
+
+// Seeds loopalloc-1 and loopalloc-2 (internal/analysis/testdata/mutations):
+// a subscriber's drain loop makes its claim scratch on every pass
+// instead of once, and a per-group cost list grows by append from nil.
+// Neither function is a hot-path root, so no runtime gate prices them.
+func drain(claim func(dst [][]byte) [][]byte, batch int) {
+	for {
+		scratch := make([][]byte, 0, batch) // want `allocation in loop \(depth 1\): make\(\[\]\[\]byte\)`
+		if len(claim(scratch)) == 0 {
+			return
+		}
+	}
+}
+
+func groupCosts(costs []float64) []float64 {
+	var out []float64
+	for _, c := range costs {
+		out = append(out, c) // want `allocation in loop \(depth 1\): append to out may grow \(not provably preallocated\)`
+	}
+	return out
+}

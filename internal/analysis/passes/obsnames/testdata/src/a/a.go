@@ -206,3 +206,13 @@ func (engine) Start(name string) int { return len(name) }
 func notATracer(e engine) int {
 	return e.Start("whatever you LIKE")
 }
+
+// Seed obsnames-2 (internal/analysis/testdata/mutations): the resync
+// event's name constant is respelled in camelCase. Exporters and the
+// trace tests correlate records by name, but no test resyncs a
+// subscriber with tracing on, so only this pass sees the split.
+const eventResync = "netcastResync"
+
+func resync(span trace.Span, skipped int64) {
+	span.Event(eventResync, trace.Int("skipped", skipped)) // want `not snake_case`
+}

@@ -5,18 +5,14 @@ package passes
 
 import (
 	"diversecast/internal/analysis"
-	"diversecast/internal/analysis/passes/boxparam"
-	"diversecast/internal/analysis/passes/ctxloop"
 	"diversecast/internal/analysis/passes/detrand"
 	"diversecast/internal/analysis/passes/errdrop"
 	"diversecast/internal/analysis/passes/floatdet"
 	"diversecast/internal/analysis/passes/floateq"
 	"diversecast/internal/analysis/passes/goroleak"
-	"diversecast/internal/analysis/passes/guardrace"
 	"diversecast/internal/analysis/passes/hotalloc"
 	"diversecast/internal/analysis/passes/lockbalance"
 	"diversecast/internal/analysis/passes/lockorder"
-	"diversecast/internal/analysis/passes/locksend"
 	"diversecast/internal/analysis/passes/loopalloc"
 	"diversecast/internal/analysis/passes/obsnames"
 )
@@ -24,18 +20,14 @@ import (
 // All returns the full diverselint suite in stable order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		boxparam.Analyzer,
-		ctxloop.Analyzer,
 		detrand.Analyzer,
 		errdrop.Analyzer,
 		floatdet.Analyzer,
 		floateq.Analyzer,
 		goroleak.Analyzer,
-		guardrace.Analyzer,
 		hotalloc.Analyzer,
 		lockbalance.Analyzer,
 		lockorder.Analyzer,
-		locksend.Analyzer,
 		loopalloc.Analyzer,
 		obsnames.Analyzer,
 	}

@@ -1,6 +1,6 @@
 // Package summary computes per-function interprocedural summaries
-// over the call graph: the lock-discipline layer the guardrace,
-// lockorder, lockbalance, and errdrop passes share.
+// over the call graph: the lock-discipline layer the lockorder and
+// lockbalance passes share, and the hot-error taint errdrop reads.
 //
 // For every function body (declared functions and function literals
 // alike) the builder runs one forward dataflow pass over the cfg
@@ -26,21 +26,17 @@
 // functions, main/init, and test functions are roots with an empty
 // entry context.
 //
-// Lock and field identities are TYPE-based: "pkgpath.Type.field"
-// names the mu field of every value of that struct type at once, and
-// package-level locks are "pkgpath.var". This is the classic
-// coarsening that makes whole-program guard inference tractable —
-// two instances of the same struct share one identity, which is
-// exactly what a per-struct guard contract wants. Locks held in
-// local variables are untracked.
+// Lock identities are TYPE-based: "pkgpath.Type.field" names the mu
+// field of every value of that struct type at once, and
+// package-level locks are "pkgpath.var" — the classic coarsening that
+// makes whole-program lock ordering tractable. Locks held in local
+// variables are untracked.
 //
-// Alongside lock facts the walk records every struct-field access
-// with the lock set held at that point (guardrace's raw material),
-// every lock-acquisition site with the locks already held
-// (lockorder's raw material), goroutine spawn sites, and a HotError
-// bit: the function returns an error that may originate from a
-// netcast/wire/obs call, directly or through in-program callees —
-// errdrop's "discarded three frames up" fuel.
+// Alongside lock facts the walk records every lock-acquisition site
+// with the locks already held (lockorder's raw material), goroutine
+// spawn sites, and a HotError bit: the function returns an error that
+// may originate from a netcast/wire/obs call, directly or through
+// in-program callees — errdrop's "discarded three frames up" fuel.
 //
 // Everything is deterministic: nodes are visited in call-graph order,
 // blocks and statements in CFG order, and all map-derived output is
@@ -63,32 +59,6 @@ import (
 // A LockID names a mutex by type identity: "pkgpath.Type.field" for a
 // struct-field lock, "pkgpath.var" for a package-level lock.
 type LockID string
-
-// A FieldID names a struct field by type identity:
-// "pkgpath.Type.field".
-type FieldID string
-
-// An Access is one read or write of a struct field, with the lock
-// context it happened under.
-type Access struct {
-	Field FieldID
-	Pos   token.Pos
-	// Write marks assignments, ++/--, element writes through the
-	// field, and address-taking (a pointer that escapes may be
-	// written through).
-	Write bool
-	// Atomic marks accesses through sync/atomic — atomic.* calls on
-	// &f, or any access to a field of a sync/atomic type.
-	Atomic bool
-	// Test marks accesses in _test.go files; guard inference ignores
-	// them (tests poke at internals single-goroutine).
-	Test bool
-	// Node is the function body the access appears in.
-	Node *callgraph.Node
-	// Held is the lock set held locally at the access. EffectiveHeld
-	// adds the function's entry context.
-	Held map[LockID]bool
-}
 
 // An AcquireSite is one lock acquisition (direct, or transitively
 // through a callee's net-acquire effect) with the locks already held.
@@ -129,7 +99,6 @@ type FuncSummary struct {
 	HotError bool
 
 	Spawns   []SpawnSite
-	Accesses []*Access
 	Acquires []AcquireSite
 }
 
@@ -139,12 +108,9 @@ type Program struct {
 	Fset  *token.FileSet
 	// Funcs has one summary per call-graph node with a body.
 	Funcs map[*callgraph.Node]*FuncSummary
-	// Guards are the //diverselint:guard field contracts, in file
-	// order (see guards.go).
-	Guards []*GuardSpec
 	// Alloc is the whole-program allocation summary set (hot-path
 	// roots, per-function sites, the transitive Allocates bit) the
-	// hotalloc/loopalloc/boxparam passes and the -hot report share.
+	// hotalloc/loopalloc passes and the -hot report share.
 	Alloc *escape.Program
 
 	inProgram map[string]bool
@@ -159,31 +125,9 @@ func (p *Program) Of(n *callgraph.Node) *FuncSummary { return p.Funcs[n] }
 // expression (nil when the call does not resolve in-program).
 func (p *Program) EdgesAt(call *ast.CallExpr) []*callgraph.Edge { return p.sites[call] }
 
-// EffectiveHeld is the access's local lock set plus the enclosing
-// function's entry context — the set guard inference tests against.
-func (p *Program) EffectiveHeld(a *Access) map[LockID]bool {
-	s := p.Funcs[a.Node]
-	if s == nil || len(s.EntryHeld) == 0 {
-		return a.Held
-	}
-	out := make(map[LockID]bool, len(a.Held)+len(s.EntryHeld))
-	for l := range a.Held {
-		out[l] = true
-	}
-	for l := range s.EntryHeld {
-		out[l] = true
-	}
-	return out
-}
-
-// InProgram reports whether the package path belongs to the analyzed
-// program.
-func (p *Program) InProgram(path string) bool { return p.inProgram[path] }
-
 // Build computes summaries for every function in the graph: one
-// bottom-up pass over the SCC condensation for net effects, accesses,
-// and HotError, then one top-down pass for entry-held contexts, then
-// the //diverselint:guard contract scan.
+// bottom-up pass over the SCC condensation for net effects and
+// HotError, then one top-down pass for entry-held contexts.
 func Build(fset *token.FileSet, pkgs []*analysis.Package, g *callgraph.Graph) *Program {
 	p := &Program{
 		Graph:     g,
@@ -246,7 +190,6 @@ func Build(fset *token.FileSet, pkgs []*analysis.Package, g *callgraph.Graph) *P
 		}
 	}
 
-	p.collectGuards(pkgs)
 	p.Alloc = escape.Build(fset, pkgs, g)
 	return p
 }
@@ -277,7 +220,10 @@ func effectsEqual(a, b *FuncSummary) bool {
 // entryHeld intersects the lock sets of every ordinary (call/defer)
 // in-edge. Any root condition — exported, main/init, test file, a go
 // or ref in-edge, no in-edges at all — means the function can run
-// with no locks, so the context is empty.
+// with no locks, so the context is empty. Calls from _test.go files
+// do not count: a test pokes at an unexported helper from one
+// goroutine, and letting it empty the context would hide the order
+// every production caller takes the locks in.
 func (p *Program) entryHeld(n *callgraph.Node) map[LockID]bool {
 	if n.Fn != nil {
 		if n.Fn.Exported() || n.Fn.Name() == "main" || n.Fn.Name() == "init" {
@@ -292,6 +238,9 @@ func (p *Program) entryHeld(n *callgraph.Node) map[LockID]bool {
 	}
 	var entry map[LockID]bool
 	for _, e := range n.In {
+		if strings.HasSuffix(p.Fset.Position(e.Caller.Pos).Filename, "_test.go") {
+			continue
+		}
 		if e.Kind == callgraph.Go || e.Kind == callgraph.Ref {
 			return nil
 		}
@@ -429,16 +378,14 @@ func (p *Program) compute(n *callgraph.Node) *FuncSummary {
 	})
 
 	// Recording walk: re-fold the converged facts block by block,
-	// this time capturing accesses, acquisitions, call-site held
-	// sets, and spawns at each node.
-	inTest := strings.HasSuffix(p.Fset.Position(n.Pos).Filename, "_test.go")
+	// this time capturing acquisitions, call-site held sets, and
+	// spawns at each node.
 	for _, blk := range g.Blocks {
 		if !facts.Reached[blk] {
 			continue
 		}
 		f := facts.In[blk]
 		for _, node := range blk.Nodes {
-			c.recordAccesses(node, f, s, inTest)
 			f = c.apply(node, f, s)
 		}
 	}
@@ -672,8 +619,8 @@ func (c *comp) lockID(recv ast.Expr) LockID {
 	switch e := recv.(type) {
 	case *ast.SelectorExpr:
 		if sel, ok := c.info.Selections[e]; ok && sel.Kind() == types.FieldVal {
-			if id, _ := c.fieldID(sel); id != "" {
-				return LockID(id)
+			if id := c.fieldID(sel); id != "" {
+				return id
 			}
 		}
 		return ""
@@ -708,29 +655,29 @@ func embeddedMutex(t types.Type) LockID {
 	}
 	for i := 0; i < st.NumFields(); i++ {
 		fld := st.Field(i)
-		if fld.Embedded() && syncKind(fld.Type()) == "sync" {
+		if fld.Embedded() && isSyncType(fld.Type()) {
 			return LockID(named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + fld.Name())
 		}
 	}
 	return ""
 }
 
-// fieldID names the field a FieldVal selection reaches, by the
+// fieldID names the mutex field a FieldVal selection reaches, by the
 // selection's receiver type: "pkg.Type.field". It returns "" for
 // receivers that are not in-program named structs.
-func (c *comp) fieldID(sel *types.Selection) (FieldID, *types.Var) {
+func (c *comp) fieldID(sel *types.Selection) LockID {
 	fld, ok := sel.Obj().(*types.Var)
 	if !ok {
-		return "", nil
+		return ""
 	}
 	named, _ := deref(sel.Recv()).(*types.Named)
 	if named == nil || named.Obj().Pkg() == nil {
-		return "", nil
+		return ""
 	}
 	if !c.p.inProgram[named.Obj().Pkg().Path()] {
-		return "", nil
+		return ""
 	}
-	return FieldID(named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + fld.Name()), fld
+	return LockID(named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + fld.Name())
 }
 
 func deref(t types.Type) types.Type {
@@ -743,20 +690,9 @@ func deref(t types.Type) types.Type {
 	}
 }
 
-// syncKind classifies a field's type: "sync" for sync.Mutex & co
-// (excluded from access records — the lock is not data), "atomic"
-// for sync/atomic value types (every access counts as atomic), ""
-// otherwise.
-func syncKind(t types.Type) string {
+// isSyncType reports whether t is (a pointer to) a type of package
+// sync — the embedded-mutex case of lockID.
+func isSyncType(t types.Type) bool {
 	named, _ := deref(t).(*types.Named)
-	if named == nil || named.Obj().Pkg() == nil {
-		return ""
-	}
-	switch named.Obj().Pkg().Path() {
-	case "sync":
-		return "sync"
-	case "sync/atomic":
-		return "atomic"
-	}
-	return ""
+	return named != nil && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "sync"
 }

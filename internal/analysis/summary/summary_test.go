@@ -1,7 +1,6 @@
 package summary_test
 
 import (
-	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -114,20 +113,6 @@ func (b *box) viaHelper() {
 		if len(s.NetAcquire) != 0 || len(s.NetRelease) != 0 {
 			t.Errorf("%s: net effects %v/%v, want none", name, s.NetAcquire, s.NetRelease)
 		}
-		// The b.n access inside must be seen with mu held — including
-		// through the lock()/unlock() helpers and through defer.
-		found := false
-		for _, a := range s.Accesses {
-			if a.Field == "example.com/m/a.box.n" {
-				found = true
-				if !p.EffectiveHeld(a)[mu] {
-					t.Errorf("%s: access to box.n not seen as guarded by %s", name, mu)
-				}
-			}
-		}
-		if !found {
-			t.Errorf("%s: no access record for box.n", name)
-		}
 	}
 }
 
@@ -190,61 +175,6 @@ func (b *box) Kick() {
 	}
 	if kick.Spawns[0].Callee == nil || !strings.HasSuffix(kick.Spawns[0].Callee.Name, ".spawned") {
 		t.Errorf("Kick(): spawn callee = %v, want spawned", kick.Spawns[0].Callee)
-	}
-}
-
-func TestAccessModes(t *testing.T) {
-	p := buildProgram(t, map[string]string{
-		"go.mod": gomod,
-		"a/a.go": `package a
-
-import (
-	"sync"
-	"sync/atomic"
-)
-
-type stats struct {
-	mu    sync.Mutex
-	plain int64
-	gauge atomic.Int64
-}
-
-func (s *stats) Mixed() {
-	s.mu.Lock()
-	s.plain = 1 // write under lock
-	s.mu.Unlock()
-	atomic.AddInt64(&s.plain, 1) // atomic write, no lock
-	s.gauge.Store(2)             // atomic-typed field
-	_ = s.plain                  // plain read, no lock
-}
-`,
-	})
-	s := nodeNamed(t, p, ".Mixed")
-	var writes, atomics, reads int
-	for _, a := range s.Accesses {
-		switch {
-		case a.Field == "example.com/m/a.stats.plain" && a.Atomic:
-			atomics++
-			if !a.Write {
-				t.Error("atomic.AddInt64 access not marked as write")
-			}
-		case a.Field == "example.com/m/a.stats.plain" && a.Write:
-			writes++
-			if !a.Held["example.com/m/a.stats.mu"] {
-				t.Error("locked write not seen as held")
-			}
-		case a.Field == "example.com/m/a.stats.plain":
-			reads++
-		case a.Field == "example.com/m/a.stats.gauge":
-			if !a.Atomic {
-				t.Error("atomic.Int64 field access not marked atomic")
-			}
-		case strings.HasSuffix(string(a.Field), ".mu"):
-			t.Errorf("mutex field recorded as data access: %v", a.Field)
-		}
-	}
-	if writes != 1 || atomics != 1 || reads != 1 {
-		t.Errorf("plain field: %d writes / %d atomics / %d reads, want 1/1/1", writes, atomics, reads)
 	}
 }
 
@@ -318,46 +248,5 @@ func cold() error { return nil }
 	}
 	if s := nodeNamed(t, p, ".cold"); s.HotError {
 		t.Error("cold(): HotError = true, want false")
-	}
-}
-
-func TestGuardDirectives(t *testing.T) {
-	p := buildProgram(t, map[string]string{
-		"go.mod": gomod,
-		"a/a.go": `package a
-
-import "sync"
-
-type box struct {
-	mu sync.Mutex
-	//diverselint:guard mu
-	n int
-	//diverselint:guard none written once before any goroutine starts
-	cfg string
-	//diverselint:guard missing
-	bad int
-}
-`,
-	})
-	byField := make(map[summary.FieldID]*summary.GuardSpec)
-	for _, g := range p.Guards {
-		byField[g.Field] = g
-	}
-	n := byField["example.com/m/a.box.n"]
-	if n == nil || n.Lock != "example.com/m/a.box.mu" || n.Err != "" {
-		t.Errorf("box.n guard = %+v, want lock box.mu", n)
-	}
-	cfg := byField["example.com/m/a.box.cfg"]
-	if cfg == nil || !cfg.None || cfg.Reason == "" {
-		t.Errorf("box.cfg guard = %+v, want none with reason", cfg)
-	}
-	bad := byField["example.com/m/a.box.bad"]
-	if bad == nil || bad.Err == "" {
-		t.Errorf("box.bad guard = %+v, want parse error", bad)
-	}
-	for _, g := range p.Guards {
-		if g.Pos == token.NoPos {
-			t.Errorf("guard %s has no position", g.Field)
-		}
 	}
 }

@@ -22,7 +22,19 @@ import (
 // staticcheck validates the check names in those directives, and the
 // two tools run side by side in CI.
 
-const ignorePrefix = "diverselint:ignore"
+// ParseDirective splits a //diverselint:<verb> comment into its verb
+// and the text after it. ok is false for every other comment. The
+// verb runs to the first space, so //diverselint:hotpathX is the verb
+// "hotpathX", not a hotpath directive.
+func ParseDirective(c *ast.Comment) (verb, rest string, ok bool) {
+	text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+	text, ok = strings.CutPrefix(text, "diverselint:")
+	if !ok {
+		return "", "", false
+	}
+	verb, rest, _ = strings.Cut(text, " ")
+	return verb, strings.TrimSpace(rest), true
+}
 
 // A Suppression is one parsed //diverselint:ignore directive. The
 // driver's -audit mode walks every directive in the module through
@@ -50,12 +62,10 @@ func (s *Suppression) Matches(analyzer string) bool {
 func FileSuppressions(fset *token.FileSet, f *ast.File) (valid, malformed []Suppression) {
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			text := strings.TrimPrefix(c.Text, "//")
-			text = strings.TrimSpace(text)
-			if !strings.HasPrefix(text, ignorePrefix) {
+			verb, rest, ok := ParseDirective(c)
+			if !ok || verb != "ignore" {
 				continue
 			}
-			rest := strings.TrimSpace(strings.TrimPrefix(text, ignorePrefix))
 			s := Suppression{Pos: fset.Position(c.Pos())}
 			if fields := strings.Fields(rest); len(fields) >= 1 {
 				for _, name := range strings.Split(fields[0], ",") {

@@ -18,15 +18,13 @@ import (
 // and the ring's tiered backpressure (resync, then drop) takes over —
 // the limiter never blocks the caster itself.
 type tokenBucket struct {
-	mu sync.Mutex
-	//diverselint:guard none immutable after newTokenBucket
-	rate float64 // tokens per second
-	//diverselint:guard none immutable after newTokenBucket
-	burst float64 // maximum banked tokens
-	//diverselint:guard mu
+	// mu guards tokens and last; rate and burst are immutable after
+	// newTokenBucket.
+	mu     sync.Mutex
+	rate   float64 // tokens per second
+	burst  float64 // maximum banked tokens
 	tokens float64
-	//diverselint:guard mu
-	last time.Time
+	last   time.Time
 }
 
 // newTokenBucket returns a bucket refilling at rate tokens/second with

@@ -25,12 +25,10 @@ import "sync"
 //     read torn data: claim detects the lap and reports how many
 //     frames were lost instead of returning overwritten buffers.
 type frameRing struct {
-	mu sync.Mutex
-	//diverselint:guard mu
-	buf [][]byte
-	//diverselint:guard mu
+	// mu guards every field below it.
+	mu   sync.Mutex
+	buf  [][]byte
 	head uint64
-	//diverselint:guard mu
 	wait chan struct{}
 }
 

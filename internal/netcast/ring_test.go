@@ -150,6 +150,34 @@ func TestTokenBucketRefills(t *testing.T) {
 	}
 }
 
+// TestTokenBucketSharedByWriters: a channel-wide bucket is reserved by
+// every subscriber's writer goroutine at once, and each reservation
+// must be debited exactly once — the bucket's debt after the writers
+// finish covers all of them, less at most the refill since the start.
+// Under -race this is also the check that reserve holds the lock.
+func TestTokenBucketSharedByWriters(t *testing.T) {
+	const writers, each, n, rate = 4, 200, 10, 100.0
+	b := newTokenBucket(rate, rate)
+	start := time.Now()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				b.reserve(n)
+			}
+		}()
+	}
+	wg.Wait()
+	refill := time.Since(start).Seconds() * rate
+	want := rate - writers*each*n
+	if b.tokens < want-1e-6 || b.tokens > want+refill+1e-6 {
+		t.Fatalf("balance %.3f after %d concurrent reservations, want %.0f plus at most %.3f refilled",
+			b.tokens, writers*each, want, refill)
+	}
+}
+
 func TestTokenBucketBurstFloor(t *testing.T) {
 	// A zero burst would wedge the bucket permanently in debt; the
 	// constructor floors it at rate/100.

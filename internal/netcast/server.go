@@ -525,35 +525,30 @@ type subscriber struct {
 	// first-complete-delivery detection in the write loop — a
 	// delivery only counts once a MsgItemBegin has been seen, so a
 	// mid-slot joiner's orphaned MsgItemEnd (whose payload it missed)
-	// is not mistaken for one. All written only by the subscriber's
-	// writer goroutine.
-	//diverselint:guard none owned by the subscriber's single writer goroutine after registration
-	tunedAt time.Time
-	//diverselint:guard none owned by the subscriber's single writer goroutine after registration
-	sawBegin bool
-	//diverselint:guard none owned by the subscriber's single writer goroutine after registration
+	// is not mistaken for one. Owned by the subscriber's writer
+	// goroutine after registration; no lock guards them.
+	tunedAt   time.Time
+	sawBegin  bool
 	delivered bool
 
 	// cursor is the read position: the sequence number of the next
 	// frame this subscriber wants. resyncStreak counts consecutive
 	// laps; sentSinceResync clears the streak once the subscriber has
-	// proven it can keep pace for a full ring.
-	//diverselint:guard none owned by the subscriber's single writer goroutine after registration
-	cursor uint64
-	//diverselint:guard none owned by the subscriber's single writer goroutine after registration
-	resyncStreak int
-	//diverselint:guard none owned by the subscriber's single writer goroutine after registration
+	// proven it can keep pace for a full ring. Owned by the writer
+	// goroutine after registration, like the fields above.
+	cursor          uint64
+	resyncStreak    int
 	sentSinceResync int
 
 	// span is the connection's netcast_conn span (inactive when
 	// tracing is off); frames counts written frames for its closing
-	// attr. outcome is why the connection ended, set once by the first
-	// close path (outcomeOnce orders it before endSpan's read).
+	// attr. outcome is why the connection ended: the first close path
+	// writes it under outcomeOnce, and it is read only after
+	// outcomeOnce.Do returns.
 	span        trace.Span
 	frames      atomic.Int64
 	outcomeOnce sync.Once
-	//diverselint:guard none written once under outcomeOnce, read only after outcomeOnce.Do returns
-	outcome string
+	outcome     string
 }
 
 func (sub *subscriber) close() {
@@ -775,11 +770,10 @@ type caster struct {
 	chanLimit *tokenBucket
 	mon       *costmon.Monitor
 
-	mu sync.Mutex
-	//diverselint:guard mu
-	subs map[*subscriber]struct{}
-	// closed is set by dropAll; add refuses registrations after it.
-	//diverselint:guard mu
+	// mu guards subs and closed. closed is set by dropAll; add
+	// refuses registrations after it.
+	mu     sync.Mutex
+	subs   map[*subscriber]struct{}
 	closed bool
 }
 
