@@ -8,5 +8,11 @@ import (
 )
 
 func TestHotAlloc(t *testing.T) {
-	analysistest.Run(t, "testdata", hotalloc.Analyzer, "hot", "box")
+	analysistest.Run(t, "testdata", hotalloc.Analyzer, "hot")
+}
+
+// TestHotAllocBoxing runs the boxing fixtures: interface conversions that
+// heap-allocate on a hot path report as "boxes on hot path from …".
+func TestHotAllocBoxing(t *testing.T) {
+	analysistest.Run(t, "testdata", hotalloc.Analyzer, "box")
 }
