@@ -22,9 +22,11 @@
 //     rand-tainted value (map-order float accumulation is floatdet's
 //     finding and is not duplicated here),
 //  2. comparisons inside a comparator (a FuncLit passed to
-//     sort.Slice/SliceStable/SliceIsSorted/Search, or a method named
-//     Less) with a tainted operand — nondeterministic tie-breaks
-//     reorder results run to run,
+//     sort.Slice/SliceStable/SliceIsSorted/Search, a FuncLit of shape
+//     func(a, b T) bool passed to any function — an ordering handed
+//     over as a value, as priority-queue constructors take it — or a
+//     method named Less) with a tainted operand — nondeterministic
+//     tie-breaks reorder results run to run,
 //  3. task closures (a FuncLit launched by `go` or handed to another
 //     function as an argument) capturing a time- or rand-tainted
 //     variable — worker pools replay such tasks in a different
@@ -81,7 +83,7 @@ type litRole int
 const (
 	rolePlain      litRole = iota // called inline / deferred
 	roleTask                      // go stmt or callback argument
-	roleComparator                // sort.* ordering argument
+	roleComparator                // ordering argument: sort.* or func(a, b T) bool
 )
 
 type checker struct {
@@ -234,11 +236,12 @@ func (c *checker) visitLits(n ast.Node, f fact) {
 		case *ast.DeferStmt:
 			mark(x.Call.Fun, rolePlain) // runs in this goroutine, once
 		case *ast.CallExpr:
-			r := roleTask
-			if isSortOrdering(c.pass.TypesInfo, x.Fun) {
-				r = roleComparator
-			}
+			sorts := isSortOrdering(c.pass.TypesInfo, x.Fun)
 			for _, a := range x.Args {
+				r := roleTask
+				if sorts || isComparator(c.pass.TypesInfo, a) {
+					r = roleComparator
+				}
 				mark(a, r)
 			}
 		case *ast.FuncLit:
@@ -551,6 +554,19 @@ func isSortOrdering(info *types.Info, fun ast.Expr) bool {
 		return true
 	}
 	return false
+}
+
+// isComparator reports whether e has the type of an ordering passed as
+// a value, func(a, b T) bool: a callee taking one, such as
+// pqueue.New, sorts or heaps by it, whatever its name.
+func isComparator(info *types.Info, e ast.Expr) bool {
+	sig, ok := info.TypeOf(e).(*types.Signature)
+	if !ok || sig.Params().Len() != 2 || sig.Results().Len() != 1 {
+		return false
+	}
+	res, ok := sig.Results().At(0).Type().Underlying().(*types.Basic)
+	return ok && res.Kind() == types.Bool &&
+		types.Identical(sig.Params().At(0).Type(), sig.Params().At(1).Type())
 }
 
 // ---- lattice plumbing ----

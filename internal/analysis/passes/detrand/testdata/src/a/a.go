@@ -78,6 +78,38 @@ func iterSort(m map[string]int, keys []string) {
 	}
 }
 
+// queue takes its ordering as a value, as internal/pqueue.New does.
+type queue[T any] struct{ less func(a, b T) bool }
+
+func newQueue[T any](less func(a, b T) bool) *queue[T] { return &queue[T]{less: less} }
+
+type split struct {
+	key float64
+	lo  int
+}
+
+// Flagged: seed detrand-2 (internal/analysis/testdata/mutations), a
+// random tie-break in DRP's split-queue comparator, which reaches the
+// queue as a func(a, b T) bool argument rather than through sort.
+func randomTieQueue() *queue[split] {
+	return newQueue(func(a, b split) bool {
+		if a.key != b.key {
+			return a.key > b.key
+		}
+		return rand.Intn(2) == 0 // want `comparator result depends on the global math/rand source`
+	})
+}
+
+// Clean: the same queue breaking ties by range start.
+func stableTieQueue() *queue[split] {
+	return newQueue(func(a, b split) bool {
+		if a.key != b.key {
+			return a.key > b.key
+		}
+		return a.lo < b.lo
+	})
+}
+
 // Clean: a deterministic comparator, and a Less method reading only
 // stable fields.
 func sortPlain(xs []int) {

@@ -3,7 +3,9 @@
 # the committed tree and records which oracle catches it:
 #
 #   vet        go vet ./...
-#   tests      go test ./... (TestSelfLint skipped: it is diverselint)
+#   tests      go test ./... (TestSelfLint skipped: it is diverselint;
+#              TestMutationCorpusApplies skipped: an applied seed no
+#              longer matches its own pre-image, so it fails every row)
 #   race       go test -race ./..., DATA RACE reports only
 #   allocgates go test -run AllocFree -count=1 ./internal/... (make allocgates)
 #   diverselint diverselint -tests ./..., built from the unseeded tree
@@ -50,9 +52,9 @@ verdict() {
 oracles() {
 	local vet tests race gates lint
 	go vet ./... >.corpus/vet.log 2>&1 && vet="-" || vet="caught"
-	go test -p 2 -timeout 45s -skip '^TestSelfLint$' ./... >.corpus/test.log 2>&1
+	go test -p 2 -timeout 45s -skip '^(TestSelfLint|TestMutationCorpusApplies)$' ./... >.corpus/test.log 2>&1
 	tests=$(verdict .corpus/test.log $?)
-	go test -race -p 2 -timeout 45s -skip '^TestSelfLint$' ./... >.corpus/race.log 2>&1
+	go test -race -p 2 -timeout 45s -skip '^(TestSelfLint|TestMutationCorpusApplies)$' ./... >.corpus/race.log 2>&1
 	if grep -q 'WARNING: DATA RACE' .corpus/race.log; then race="caught"
 	else race="-"; fi
 	go test -run AllocFree -count=1 -timeout 45s ./internal/... >.corpus/gates.log 2>&1 && gates="-" || gates="caught"

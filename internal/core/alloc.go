@@ -16,9 +16,13 @@ type Allocation struct {
 	channel []int // channel[pos] = channel index in [0,K)
 	// members[c] lists the database positions on channel c in
 	// ascending order; maintained by move() so per-channel scans
-	// (CDS move selection, aggregate reconciliation, channel waiting
-	// time) avoid the O(N) membership filter per channel.
+	// (CDS move selection, channel waiting time) avoid the O(N)
+	// membership filter per channel.
 	members [][]int
+	// sums holds every channel's F and Z as exact fixed-point sums in
+	// db's frame (exactsum.go): channel c's F in sums[2cL : 2cL+L] and
+	// its Z in the next L limbs. move keeps them in step.
+	sums []uint64
 }
 
 // Errors returned by allocation constructors and validators.
@@ -48,6 +52,7 @@ func NewAllocation(db *Database, k int, channel []int) (*Allocation, error) {
 		}
 	}
 	a.buildMembers()
+	a.buildSums()
 	return a, nil
 }
 
@@ -134,36 +139,23 @@ type GroupAgg struct {
 // Cost is the channel's contribution F·Z to the grouping cost.
 func (g GroupAgg) Cost() float64 { return g.F * g.Z }
 
-// Aggregates computes F_i, Z_i and N_i for every channel.
+// Aggregates computes F_i, Z_i and N_i for every channel. F_i and Z_i
+// are the exact sums of the channel's frequencies and sizes, rounded
+// once to nearest, so they do not depend on the order the items were
+// added in or on the moves that led to the allocation.
 func (a *Allocation) Aggregates() []GroupAgg {
 	agg := make([]GroupAgg, a.k)
-	a.aggregatesInto(agg)
-	return agg
-}
-
-// aggregatesInto recomputes the aggregates into an existing slice
-// (len = K), sparing hot loops the allocation. Every group goes through
-// groupAgg, the routine CDS reconciles touched groups with, so the two
-// agree bit for bit by construction.
-func (a *Allocation) aggregatesInto(agg []GroupAgg) {
 	for c := range agg {
 		agg[c] = a.groupAgg(c)
 	}
+	return agg
 }
 
-// groupAgg sums channel c's members in ascending position. The sums run
-// in locals straight off the item slice: the float additions, their
-// order and hence the bits are fixed by the position list alone.
+// groupAgg reads channel c's aggregates off its exact sums in O(1).
 func (a *Allocation) groupAgg(c int) GroupAgg {
-	items := a.db.items
-	var f, z float64
-	m := a.members[c]
-	for _, pos := range m {
-		it := &items[pos]
-		f += it.Freq
-		z += it.Size
-	}
-	return GroupAgg{F: f, Z: z, N: len(m)}
+	fr := a.db.frame
+	f, z := a.channelSums(c)
+	return GroupAgg{F: fr.round(f), Z: fr.round(z), N: len(a.members[c])}
 }
 
 // Clone returns a deep copy that can be mutated independently (the
@@ -177,12 +169,14 @@ func (a *Allocation) Clone() *Allocation {
 	for c, m := range a.members {
 		members[c] = append(make([]int, 0, len(m)), m...)
 	}
-	return &Allocation{db: a.db, k: a.k, channel: channel, members: members}
+	sums := append([]uint64(nil), a.sums...)
+	return &Allocation{db: a.db, k: a.k, channel: channel, members: members, sums: sums}
 }
 
 // move reassigns the item at database position pos to channel dest,
-// keeping the per-channel position lists sorted: O(log n) search plus
-// an O(n) shift within the two touched lists (n = group size).
+// keeping the per-channel position lists sorted, O(log n) search plus
+// an O(n) shift within the two touched lists (n = group size), and the
+// two channels' exact sums current in O(1).
 // It is unexported: external mutation goes through CDS or explicit
 // reconstruction, keeping Allocation effectively immutable to callers.
 func (a *Allocation) move(pos, dest int) {
@@ -200,6 +194,7 @@ func (a *Allocation) move(pos, dest int) {
 	copy(m[j+1:], m[j:])
 	m[j] = pos
 	a.members[dest] = m
+	a.moveSums(pos, src, dest)
 }
 
 // Validate re-checks the structural invariants. It is cheap and used by

@@ -135,7 +135,7 @@ func (c *CDS) RefineWithTrace(a *Allocation) (*Allocation, []Move, error) {
 // database position within the group, destinations by channel index;
 // strictly-larger-wins tie-break) and whether any strictly positive
 // candidate exists. applied notifies the selector after a move has
-// been applied and the aggregates reconciled.
+// been applied and the aggregates updated.
 type moveSelector interface {
 	next() (Move, bool)
 	applied(Move)
@@ -159,11 +159,15 @@ func (c *CDS) refine(a *Allocation, wantTrace bool) (*Allocation, []Move, error)
 	}
 	cur := a.Clone()
 	agg := cur.Aggregates()
+	var cost float64
+	for _, g := range agg {
+		cost += g.Cost()
+	}
 
 	eps := c.Epsilon
 	if eps == 0 {
-		if init := Cost(cur); init > 0 {
-			eps = 1e-12 * init
+		if cost > 0 {
+			eps = 1e-12 * cost
 		} else {
 			eps = 1e-300
 		}
@@ -188,7 +192,6 @@ func (c *CDS) refine(a *Allocation, wantTrace bool) (*Allocation, []Move, error)
 	start := timeNow()
 	var moves []Move
 	applied := 0
-	cost := Cost(cur)
 
 	tr := c.Tracer
 	if tr == nil {
@@ -216,9 +219,10 @@ func (c *CDS) refine(a *Allocation, wantTrace bool) (*Allocation, []Move, error)
 			break
 		}
 
-		// The move span covers applying the move, reconciling the two
-		// touched groups, and the selector's table maintenance —
-		// the full per-iteration cost of the strategy in use.
+		// The move span covers applying the move, updating the two
+		// touched groups' aggregates, and the selector's table
+		// maintenance — the full per-iteration cost of the strategy in
+		// use.
 		var mv trace.Span
 		if span.Active() {
 			mv = span.Child(spanCDSMove,
@@ -228,18 +232,13 @@ func (c *CDS) refine(a *Allocation, wantTrace bool) (*Allocation, []Move, error)
 				stratTag)
 		}
 
+		// move updates the two touched channels' exact sums, so agg
+		// stays bit-for-bit a fresh Aggregates() call and the trace's
+		// CostBefore/CostAfter are exactly Cost(cur) rather than
+		// drifting away from it one subtraction at a time over long
+		// refinements.
 		cur.move(best.Pos, best.To)
-		// Reconcile instead of tracking incrementally: rebuild the two
-		// touched groups from the allocation in the same accumulation
-		// order Aggregates uses (ascending position within the group).
-		// Untouched groups were exact before the move, so by induction
-		// agg stays bit-for-bit equal to a fresh Aggregates() call, and
-		// the trace's CostBefore/CostAfter stay exactly Cost(cur)
-		// instead of drifting away from it (one subtraction at a time)
-		// over long refinements. O(|D_p|+|D_q|) per applied move via
-		// the per-channel position lists.
-		reconcileGroup(cur, agg, best.From)
-		reconcileGroup(cur, agg, best.To)
+		agg[best.From], agg[best.To] = cur.groupAgg(best.From), cur.groupAgg(best.To)
 		var newCost float64
 		for _, g := range agg {
 			newCost += g.Cost()
@@ -268,15 +267,6 @@ func (c *CDS) refine(a *Allocation, wantTrace bool) (*Allocation, []Move, error)
 		span.End(trace.Int("moves", int64(applied)), trace.Float("cost_after", cost))
 	}
 	return cur, moves, nil
-}
-
-// reconcileGroup rebuilds agg[g] from the allocation with groupAgg,
-// the routine Aggregates runs per group, so the result is bit-for-bit
-// what a full recomputation would produce.
-//
-//diverselint:hotpath per-applied-move aggregate reconciliation
-func reconcileGroup(cur *Allocation, agg []GroupAgg, g int) {
-	agg[g] = cur.groupAgg(g)
 }
 
 // naiveSelector is the paper's literal selection: every (item,
@@ -364,7 +354,7 @@ type incrementalSelector struct {
 	// dc and pos are the K×K cells, row-major by source group.
 	dc  []float64
 	pos []int32
-	// prev is agg as of the last table update: refine reconciles agg
+	// prev is agg as of the last table update: refine updates agg
 	// before applied runs, and the bounds rise by the difference.
 	prev []GroupAgg
 	// lim holds, per group, upper bounds on its members' f, z and
@@ -388,8 +378,10 @@ const (
 	// boundRel times |bound| covers rounding the raised bound's own
 	// sum: 2⁻⁵⁰ is 8 units of roundoff, where the proof needs 2.
 	boundRel = 0x1p-50
-	// capPad lifts a float sum of N positive terms above every float
-	// sum of any subset of them, for N < 2³¹ (positions are int32).
+	// capPad lifts the float sum of N positive values above 1+u times
+	// their exact sum, and so above any two groups' aggregates (each
+	// its exact sum rounded once) together, for N < 2³¹ (positions
+	// are int32).
 	capPad = 1 + 0x1p-20
 )
 
@@ -560,7 +552,7 @@ func (s *incrementalSelector) next() (Move, bool) {
 
 //diverselint:hotpath per-move pair-table update
 func (s *incrementalSelector) applied(m Move) {
-	// refine reconciled agg and the member lists before notifying us.
+	// refine updated agg and the member lists before notifying us.
 	k, from, to := s.k, m.From, m.To
 	pf, pt := s.prev[from], s.prev[to]
 	nf, nt := s.agg[from], s.agg[to]

@@ -227,12 +227,12 @@ func checkSelectorTable(t *testing.T, what string, sel *incrementalSelector, cur
 	return fresh, stale
 }
 
-// applyMove performs one refine iteration by hand: move, reconcile the
-// two touched groups, notify the selector.
+// applyMove performs one refine iteration by hand: move (which updates
+// the two touched groups' exact sums), read their aggregates, notify
+// the selector.
 func applyMove(cur *Allocation, agg []GroupAgg, sel moveSelector, m Move) {
 	cur.move(m.Pos, m.To)
-	reconcileGroup(cur, agg, m.From)
-	reconcileGroup(cur, agg, m.To)
+	agg[m.From], agg[m.To] = cur.groupAgg(m.From), cur.groupAgg(m.To)
 	sel.applied(m)
 }
 

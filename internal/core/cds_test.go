@@ -150,34 +150,42 @@ func TestCDSMovesAreStrictlyDecreasing(t *testing.T) {
 // TestCDSTraceCostMatchesRecomputationExactly is the drift
 // regression: the trace used to carry an incrementally tracked cost
 // (cost -= Δc per move), which floats away from the true Cost over
-// long refinements. After reconciliation, CostAfter is computed from
-// the allocation itself, so it must equal Cost bit-for-bit — no
+// long refinements. CostAfter is computed from the aggregates the
+// exact group sums give, so it must equal Cost bit-for-bit — no
 // tolerance — on every move of a long run, and the final CostAfter
-// must equal Cost(refined) exactly.
+// must equal Cost(refined) exactly. The extreme-magnitude databases
+// put nine and six decades between their frequencies and sizes.
 func TestCDSTraceCostMatchesRecomputationExactly(t *testing.T) {
 	for _, seed := range []int{1, 7, 99} {
-		db := randomDatabase(t, seed, 120)
-		a := randomAllocation(t, db, 8, seed+5)
-		refined, moves, err := NewCDS().RefineWithTrace(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(moves) == 0 {
-			t.Fatalf("seed %d: random allocation already optimal?", seed)
-		}
-		replay := a.Clone()
-		for i, m := range moves {
-			replay.move(m.Pos, m.To)
-			if got, want := m.CostAfter, Cost(replay); got != want {
-				t.Fatalf("seed %d, move %d/%d: CostAfter %v, Cost %v (drift %g)",
-					seed, i, len(moves), got, want, got-want)
+		for _, tc := range []struct {
+			name string
+			db   *Database
+		}{
+			{"random", randomDatabase(t, seed, 120)},
+			{"extreme", extremeDatabase(t, seed, 120)},
+		} {
+			a := randomAllocation(t, tc.db, 8, seed+5)
+			refined, moves, err := NewCDS().RefineWithTrace(a)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if i+1 < len(moves) && moves[i+1].CostBefore != m.CostAfter {
-				t.Fatalf("seed %d, move %d: CostBefore chain broken", seed, i)
+			if len(moves) == 0 {
+				t.Fatalf("%s seed %d: random allocation already optimal?", tc.name, seed)
 			}
-		}
-		if got, want := moves[len(moves)-1].CostAfter, Cost(refined); got != want {
-			t.Fatalf("seed %d: final CostAfter %v, Cost(refined) %v", seed, got, want)
+			replay := a.Clone()
+			for i, m := range moves {
+				replay.move(m.Pos, m.To)
+				if got, want := m.CostAfter, Cost(replay); got != want {
+					t.Fatalf("%s seed %d, move %d/%d: CostAfter %v, Cost %v (drift %g)",
+						tc.name, seed, i, len(moves), got, want, got-want)
+				}
+				if i+1 < len(moves) && moves[i+1].CostBefore != m.CostAfter {
+					t.Fatalf("%s seed %d, move %d: CostBefore chain broken", tc.name, seed, i)
+				}
+			}
+			if got, want := moves[len(moves)-1].CostAfter, Cost(refined); got != want {
+				t.Fatalf("%s seed %d: final CostAfter %v, Cost(refined) %v", tc.name, seed, got, want)
+			}
 		}
 	}
 }

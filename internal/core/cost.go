@@ -12,8 +12,8 @@ package core
 // minimizes.
 func Cost(a *Allocation) float64 {
 	var total float64
-	for _, g := range a.Aggregates() {
-		total += g.Cost()
+	for c := 0; c < a.k; c++ {
+		total += a.groupAgg(c).Cost()
 	}
 	return total
 }
@@ -45,7 +45,7 @@ func WaitingTime(a *Allocation, b float64) float64 {
 // channel. An empty channel has waiting time 0 (it serves no
 // requests).
 func ChannelWaitingTime(a *Allocation, c int, b float64) float64 {
-	agg := a.Aggregates()[c]
+	agg := a.groupAgg(c)
 	if agg.N == 0 || agg.F == 0 {
 		return 0
 	}
@@ -60,14 +60,14 @@ func ChannelWaitingTime(a *Allocation, c int, b float64) float64 {
 // ItemWaitingTime evaluates Eq. (1) for the single item at database
 // position pos: half its channel's cycle plus its own download time.
 func ItemWaitingTime(a *Allocation, pos int, b float64) float64 {
-	agg := a.Aggregates()[a.channel[pos]]
+	agg := a.groupAgg(a.channel[pos])
 	return agg.Z/(2*b) + a.db.Item(pos).Size/b
 }
 
 // CycleLength returns the broadcast-cycle duration of channel c in
 // seconds under bandwidth b: Z_i / b.
 func CycleLength(a *Allocation, c int, b float64) float64 {
-	return a.Aggregates()[c].Z / b
+	return a.groupAgg(c).Z / b
 }
 
 // MoveReduction evaluates Eq. (4): the cost reduction Δc obtained by

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"diversecast/internal/alloctest"
 )
 
 func TestCostMatchesBruteForce(t *testing.T) {
@@ -105,6 +107,29 @@ func TestCycleLength(t *testing.T) {
 	if got := CycleLength(a, 1, 10); got != 2 {
 		t.Fatalf("cycle 1 = %v, want 2", got)
 	}
+}
+
+// The per-item and per-channel readers read one channel's exact sums:
+// the values Aggregates gives, and no allocation per call (they run
+// per cache miss and per served request).
+func TestChannelReadersAllocFree(t *testing.T) {
+	const b = 10.0
+	db := randomDatabase(t, 4, 90)
+	a := randomAllocation(t, db, 6, 2)
+	agg := a.Aggregates()
+	for pos := 0; pos < db.Len(); pos++ {
+		c := a.ChannelOf(pos)
+		if got, want := ItemWaitingTime(a, pos, b), agg[c].Z/(2*b)+db.Item(pos).Size/b; got != want {
+			t.Fatalf("item %d: ItemWaitingTime %v, from Aggregates %v", pos, got, want)
+		}
+		if got, want := CycleLength(a, c, b), agg[c].Z/b; got != want {
+			t.Fatalf("channel %d: CycleLength %v, from Aggregates %v", c, got, want)
+		}
+	}
+	alloctest.MustZeroAllocs(t, "ItemWaitingTime", 2, func() { ItemWaitingTime(a, 5, b) })
+	alloctest.MustZeroAllocs(t, "CycleLength", 2, func() { CycleLength(a, 3, b) })
+	alloctest.MustZeroAllocs(t, "ChannelWaitingTime", 2, func() { ChannelWaitingTime(a, 3, b) })
+	alloctest.MustZeroAllocs(t, "Cost", 2, func() { Cost(a) })
 }
 
 // Property: the closed-form Δc of Eq. (4) equals the recomputed cost

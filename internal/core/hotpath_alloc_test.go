@@ -12,8 +12,8 @@ import (
 // prove the compiled code agrees.
 //
 // The selectors are driven with a synthetic ping-pong: one item moves
-// to the next group round-robin, the two touched groups' aggregates
-// are reconciled exactly as refine does, and the selector is
+// to the next group round-robin, the two touched groups' sums and
+// aggregates are updated exactly as refine does, and the selector is
 // notified. The moves are not cost-reducing — allocation behavior is
 // what is measured — but the invariant the selectors rely on (agg
 // bit-exact with the allocation at applied time) holds at every step.
@@ -34,12 +34,19 @@ func TestHotPathContractsAllocFree(t *testing.T) {
 	db := randomDatabase(t, 11, 96)
 	base := randomAllocation(t, db, 6, 7)
 
-	t.Run("reconcileGroup", func(t *testing.T) {
+	// The per-move aggregate update alone: the ping-pong item's
+	// frequency and size move between two groups' exact sums, and both
+	// groups' aggregates are read back, as refine does per move.
+	t.Run("moveSums", func(t *testing.T) {
 		cur := base.Clone()
 		agg := cur.Aggregates()
-		alloctest.MustZeroAllocs(t, "reconcileGroup", 2, func() {
-			reconcileGroup(cur, agg, 0)
-			reconcileGroup(cur, agg, 1)
+		g := cur.ChannelOf(0)
+		h := (g + 1) % len(agg)
+		alloctest.MustZeroAllocs(t, "Allocation.moveSums", 2, func() {
+			cur.moveSums(0, g, h)
+			agg[g], agg[h] = cur.groupAgg(g), cur.groupAgg(h)
+			cur.moveSums(0, h, g)
+			agg[g], agg[h] = cur.groupAgg(g), cur.groupAgg(h)
 		})
 	})
 

@@ -30,6 +30,8 @@ type Database struct {
 	totalFreq    float64
 	totalSize    float64
 	downloadMass float64 // Σ f_j · z_j, the allocation-independent term
+
+	frame sumFrame // fixed-point frame of the exact group sums
 }
 
 // Validation errors returned by NewDatabase.
@@ -68,6 +70,7 @@ func NewDatabase(items []Item) (*Database, error) {
 		db.totalSize += it.Size
 		db.downloadMass += it.Freq * it.Size
 	}
+	db.frame = newSumFrame(db.items)
 	return db, nil
 }
 
