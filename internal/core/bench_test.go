@@ -133,3 +133,19 @@ func BenchmarkByBenefitRatio(b *testing.B) {
 		_ = db.ByBenefitRatio()
 	}
 }
+
+// BenchmarkBuildSums times the one O(N) pass that fills an allocation's
+// exact group sums, paid once per allocation built (DRP's result, a
+// replan's carried assignment).
+func BenchmarkBuildSums(b *testing.B) {
+	for _, n := range []int{120, 10000} {
+		db := benchDB(b, n)
+		a := randomAllocation(b, db, 8, 5)
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				a.buildSums()
+			}
+		})
+	}
+}

@@ -143,10 +143,12 @@ func (g *GOPT) AllocateWithStats(db *core.Database, k int) (*core.Allocation, *S
 		return nil, nil, fmt.Errorf("gopt: best chromosome invalid: %w", err)
 	}
 
+	// RawCost reads core.Cost rather than the GA's float fitness, so it
+	// rounds the same exact group sums as Cost does.
 	stats := &Stats{
 		Generations: res.Generations,
 		Evaluations: res.Evaluations,
-		RawCost:     -res.BestFitness,
+		RawCost:     core.Cost(a),
 	}
 	if g.Polish {
 		a, err = core.NewCDS().Refine(a)
