@@ -15,6 +15,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"time"
 
 	"diversecast/internal/airsim"
@@ -42,8 +43,6 @@ func run(args []string, out io.Writer) error {
 	fs.SetOutput(out)
 	var dbf cli.DBFlags
 	dbf.Register(fs)
-	var cdsf cli.CDSFlags
-	cdsf.Register(fs)
 	k := fs.Int("k", 6, "number of broadcast channels")
 	alg := fs.String("alg", "drp-cds", "allocation algorithm")
 	bandwidth := fs.Float64("bandwidth", 10, "channel bandwidth (size units per second)")
@@ -60,6 +59,16 @@ func run(args []string, out io.Writer) error {
 	dumpStats := fs.Bool("stats", false, "dump the process metrics registry (Prometheus text format) on exit")
 	traceOut := fs.String("trace", "", "write a Chrome trace_event JSON of the run to this file (open in chrome://tracing or Perfetto)")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	used := *mode
+	switch {
+	case *mode == "push" && *cachePolicy != "":
+		used = "cached push"
+	case *mode != "push" && *mode != "pull" && *mode != "hybrid":
+		return fmt.Errorf("unknown mode %q (have push, pull, hybrid)", *mode)
+	}
+	if err := rejectIgnoredFlags(fs, used); err != nil {
 		return err
 	}
 	if *dumpStats {
@@ -103,21 +112,13 @@ func run(args []string, out io.Writer) error {
 	}
 
 	switch *mode {
-	case "push":
-		// Fall through to the cyclic-program simulation below.
 	case "pull":
 		return runPull(out, db, trace, *scheduler, *bandwidth, float64(*k))
 	case "hybrid":
 		return runHybrid(out, db, trace, *scheduler, *bandwidth, *k, *pushCount)
-	default:
-		return fmt.Errorf("unknown mode %q (have push, pull, hybrid)", *mode)
 	}
 
-	cds, err := cdsf.Refiner()
-	if err != nil {
-		return err
-	}
-	allocator, err := cli.NewAllocatorCDS(*alg, dbf.Seed, cds)
+	allocator, err := cli.NewAllocator(*alg, dbf.Seed)
 	if err != nil {
 		return err
 	}
@@ -180,6 +181,30 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintln(out, "warning: measured mean deviates more than 5% from the analytical model; increase -requests")
 	}
 	return nil
+}
+
+// modeFlags lists, for each flag that only some modes read, the modes
+// that read it. "cached push" is push mode with -cache-policy set.
+var modeFlags = map[string][]string{
+	"alg":            {"push", "cached push"},
+	"event-driven":   {"push"},
+	"hist":           {"push"},
+	"cache-policy":   {"push", "cached push"},
+	"cache-capacity": {"cached push"},
+	"scheduler":      {"pull", "hybrid"},
+	"push-count":     {"hybrid"},
+}
+
+// rejectIgnoredFlags fails on the first explicitly set flag that mode
+// does not read, instead of running as if it had not been given.
+func rejectIgnoredFlags(fs *flag.FlagSet, mode string) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if modes, ok := modeFlags[f.Name]; ok && err == nil && !slices.Contains(modes, mode) {
+			err = fmt.Errorf("-%s has no effect in %s mode", f.Name, mode)
+		}
+	})
+	return err
 }
 
 // writeTraceFile exports the process-wide tracer's ring to path as

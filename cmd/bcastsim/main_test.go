@@ -165,6 +165,47 @@ func TestRunModeErrors(t *testing.T) {
 	}
 }
 
+// TestRunRejectsIgnoredFlags: a flag the chosen mode does not read
+// is an error naming the flag, not silently dropped.
+func TestRunRejectsIgnoredFlags(t *testing.T) {
+	tests := []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-mode", "pull", "-cache-policy", "lru"}, "-cache-policy"},
+		{[]string{"-mode", "pull", "-alg", "vfk"}, "-alg"},
+		{[]string{"-mode", "pull", "-push-count", "5"}, "-push-count"},
+		{[]string{"-mode", "hybrid", "-event-driven"}, "-event-driven"},
+		{[]string{"-mode", "hybrid", "-cache-capacity", "10"}, "-cache-capacity"},
+		{[]string{"-push-count", "5"}, "-push-count"},
+		{[]string{"-scheduler", "mrf"}, "-scheduler"},
+		{[]string{"-cache-capacity", "10"}, "-cache-capacity"},
+		{[]string{"-cache-policy", "lru", "-cache-capacity", "10", "-hist"}, "-hist"},
+		{[]string{"-cache-policy", "lru", "-cache-capacity", "10", "-event-driven"}, "-event-driven"},
+	}
+	for _, tc := range tests {
+		var out bytes.Buffer
+		full := append([]string{"-n", "20", "-k", "3", "-requests", "50"}, tc.args...)
+		err := run(full, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.flag+" has no effect") {
+			t.Errorf("args %v: err = %v, want %s rejected", tc.args, err, tc.flag)
+		}
+	}
+	// The flags each mode reads still run.
+	for _, args := range [][]string{
+		{"-mode", "hybrid", "-push-count", "8", "-scheduler", "mrf"},
+		{"-mode", "pull", "-scheduler", "fcfs"},
+		{"-alg", "vfk", "-hist", "-event-driven", "-cache-policy", ""},
+		{"-alg", "vfk", "-cache-policy", "lru", "-cache-capacity", "10"},
+	} {
+		var out bytes.Buffer
+		full := append([]string{"-n", "20", "-k", "3", "-requests", "50"}, args...)
+		if err := run(full, &out); err != nil {
+			t.Errorf("args %v: %v", args, err)
+		}
+	}
+}
+
 // TestRunTraceExport: -trace writes a Chrome trace_event JSON file in
 // which the allocator's DRP splits, the CDS refinement moves, and the
 // simulator's per-cycle broadcast spans all carry the same run ID —

@@ -26,7 +26,6 @@ package diversecast
 
 import (
 	"diversecast/internal/adapt"
-	"diversecast/internal/airindex"
 	"diversecast/internal/airsim"
 	"diversecast/internal/baseline"
 	"diversecast/internal/broadcast"
@@ -178,32 +177,6 @@ func Simulate(p *Program, trace []Request) (*SimResult, error) {
 // discrete-event engine (slower; validates Simulate).
 func SimulateEventDriven(p *Program, trace []Request) (*SimResult, error) {
 	return airsim.EventDriven(p, trace)
-}
-
-// Air indexing: the (1,m) scheme of "Data on Air" (the paper's
-// reference [11]) for power-conserving access — clients read one
-// index, doze to their item, and wake to download.
-type (
-	// IndexedProgram is a broadcast program with (1,m) index segments.
-	IndexedProgram = airindex.Program
-	// IndexConfig parameterizes the indexing scheme (m, entry size,
-	// header size).
-	IndexConfig = airindex.Config
-	// IndexedResult summarizes latency and tuning time of an indexed
-	// simulation.
-	IndexedResult = airindex.Result
-)
-
-// BuildIndexedProgram lays (1,m) index segments over a broadcast
-// program.
-func BuildIndexedProgram(p *Program, cfg IndexConfig) (*IndexedProgram, error) {
-	return airindex.Build(p, cfg)
-}
-
-// SimulateIndexed replays a request trace under the doze protocol,
-// measuring both access latency and tuning (listening) time.
-func SimulateIndexed(p *IndexedProgram, trace []Request) (*IndexedResult, error) {
-	return airindex.Measure(p, trace)
 }
 
 // Networked broadcasting.

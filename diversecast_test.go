@@ -242,3 +242,133 @@ func TestPublicCache(t *testing.T) {
 		t.Fatalf("cached wait %v not below analytic no-cache wait %v", res.Wait.Mean, noCache)
 	}
 }
+
+// The facade entry points below have no other caller in the module;
+// each test pins one property a user of that entry point relies on.
+
+func TestPublicExhaustiveBoundsDRPCDS(t *testing.T) {
+	db, err := diversecast.GenerateWorkload(diversecast.WorkloadConfig{
+		N: 8, Theta: 0.8, Phi: 2, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := diversecast.NewExhaustive().Allocate(db, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heur, err := diversecast.NewDRPCDS().Allocate(db, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diversecast.Cost(opt) > diversecast.Cost(heur) {
+		t.Fatalf("exhaustive cost %v above DRP-CDS %v", diversecast.Cost(opt), diversecast.Cost(heur))
+	}
+}
+
+func TestPublicOrderedProgramKeepsCycles(t *testing.T) {
+	alloc, err := diversecast.NewDRPCDS().Allocate(diversecast.PaperExampleDatabase(), diversecast.PaperExampleK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byPos, err := diversecast.BuildProgram(alloc, diversecast.PaperBandwidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byFreq, err := diversecast.BuildProgramOrdered(alloc, diversecast.PaperBandwidth, diversecast.ByFrequency)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, ch := range byFreq.Channels {
+		want := byPos.Channels[c].CycleLength
+		if math.Abs(ch.CycleLength-want) > 1e-12*want || len(ch.Slots) != len(byPos.Channels[c].Slots) {
+			t.Fatalf("channel %d: cycle %v with %d slots, want %v with %d",
+				c, ch.CycleLength, len(ch.Slots), want, len(byPos.Channels[c].Slots))
+		}
+	}
+}
+
+func TestPublicEventDrivenAgreesWithSimulate(t *testing.T) {
+	db, err := diversecast.GenerateWorkload(diversecast.WorkloadConfig{
+		N: 40, Theta: 0.8, Phi: 2, Seed: 6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc, err := diversecast.NewDRPCDS().Allocate(db, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := diversecast.BuildProgram(alloc, diversecast.PaperBandwidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace, err := diversecast.GenerateTrace(db, diversecast.TraceConfig{Requests: 2000, Rate: 20, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed, err := diversecast.Simulate(prog, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	event, err := diversecast.SimulateEventDriven(prog, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(closed.Wait.Mean-event.Wait.Mean) > 1e-6 {
+		t.Fatalf("closed-form mean wait %v, event-driven %v", closed.Wait.Mean, event.Wait.Mean)
+	}
+}
+
+func TestPublicReplanOnDrift(t *testing.T) {
+	db, err := diversecast.GenerateWorkload(diversecast.WorkloadConfig{
+		N: 60, Theta: 0.8, Phi: 2, Seed: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, err := diversecast.NewDRPCDS().Allocate(db, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drifted, err := diversecast.DriftWorkload(db, 0.5, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	carried, err := diversecast.NewAllocation(drifted, 5, prev.Assignment())
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, churn, err := diversecast.Replan(prev, drifted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every move CDS applies strictly lowers the cost.
+	if churn.Moved == 0 || diversecast.Cost(next) >= diversecast.Cost(carried) {
+		t.Fatalf("churn %+v: cost %v, carried %v; want moves that lower it", churn, diversecast.Cost(next), diversecast.Cost(carried))
+	}
+}
+
+func TestPublicTrackerRejectsBadInput(t *testing.T) {
+	for _, tc := range []struct {
+		n        int
+		halfLife float64
+	}{{0, 10}, {5, 0}, {5, math.NaN()}, {5, math.Inf(1)}} {
+		if _, err := diversecast.NewTracker(tc.n, tc.halfLife); err == nil {
+			t.Errorf("NewTracker(%d, %v) accepted", tc.n, tc.halfLife)
+		}
+	}
+	tr, err := diversecast.NewTracker(5, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Observe(5, 0); err == nil {
+		t.Error("Observe accepted a position outside the tracker")
+	}
+}
+
+func TestPublicDefaultExperimentConfigValidates(t *testing.T) {
+	if err := diversecast.DefaultExperimentConfig().Validate(); err != nil {
+		t.Fatal(err)
+	}
+}

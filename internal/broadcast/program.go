@@ -49,9 +49,10 @@ type Program struct {
 	Bandwidth float64   `json:"bandwidth"`
 	Channels  []Channel `json:"channels"`
 
-	// locate[pos] is the {channel, slot index} carrying the item;
-	// rebuilt on load.
-	locate map[int][2]int
+	// locate[pos] is the {channel, slot index} carrying the item at
+	// database position pos. Build and ReadJSON fill it; a valid
+	// program schedules every position in [0, len(locate)) once.
+	locate [][2]int
 }
 
 // SlotOrder selects the ordering of items within a channel cycle. For
@@ -119,7 +120,11 @@ func Build(a *core.Allocation, bandwidth float64, order SlotOrder) (*Program, er
 }
 
 func (p *Program) buildIndex() {
-	p.locate = make(map[int][2]int)
+	n := 0
+	for _, ch := range p.Channels {
+		n += len(ch.Slots)
+	}
+	p.locate = make([][2]int, n)
 	for c, ch := range p.Channels {
 		for s, slot := range ch.Slots {
 			p.locate[slot.Pos] = [2]int{c, s}
@@ -129,12 +134,13 @@ func (p *Program) buildIndex() {
 
 // Locate returns the channel and slot index carrying the item at
 // database position pos. ok is false if the item is not scheduled.
+// Only programs from Build or ReadJSON can be located.
 func (p *Program) Locate(pos int) (channel, slot int, ok bool) {
-	if p.locate == nil {
-		p.buildIndex()
+	if pos < 0 || pos >= len(p.locate) {
+		return 0, 0, false
 	}
-	loc, ok := p.locate[pos]
-	return loc[0], loc[1], ok
+	loc := p.locate[pos]
+	return loc[0], loc[1], true
 }
 
 // NextStart returns the absolute time ≥ t at which the item at
@@ -179,15 +185,19 @@ func (p *Program) next(pos int, t float64) (float64, Slot, error) {
 
 // Validate checks structural invariants: contiguous slots from zero,
 // cycle length equal to the slot sum, durations consistent with the
-// bandwidth, and every item position scheduled at most once across
-// all channels — the one-slot-per-cycle model that ExpectedWait and
-// every consumer of a program assume.
+// bandwidth, and every item position in [0, total slots) and
+// scheduled at most once across all channels — the one-slot-per-cycle
+// model that ExpectedWait and every consumer of a program assume.
 func (p *Program) Validate() error {
 	if p.K != len(p.Channels) {
 		return fmt.Errorf("broadcast: K=%d but %d channels", p.K, len(p.Channels))
 	}
 	if !(p.Bandwidth > 0) {
 		return fmt.Errorf("broadcast: bandwidth %v", p.Bandwidth)
+	}
+	total := 0
+	for _, ch := range p.Channels {
+		total += len(ch.Slots)
 	}
 	onChannel := make(map[int]int)
 	for c, ch := range p.Channels {
@@ -196,6 +206,9 @@ func (p *Program) Validate() error {
 		}
 		var at float64
 		for i, slot := range ch.Slots {
+			if slot.Pos < 0 || slot.Pos >= total {
+				return fmt.Errorf("broadcast: channel %d slot %d item position %d outside [0, %d)", c, i, slot.Pos, total)
+			}
 			if prev, ok := onChannel[slot.Pos]; ok {
 				return fmt.Errorf("broadcast: item position %d scheduled twice (channels %d and %d)", slot.Pos, prev, c)
 			}

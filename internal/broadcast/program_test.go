@@ -257,6 +257,15 @@ func TestReadJSONRejectsCorrupt(t *testing.T) {
 	if _, err := ReadJSON(strings.NewReader(twiceScheduled)); err == nil {
 		t.Fatal("a position scheduled twice should fail validation")
 	}
+	// A position outside [0, total slots) would size the location
+	// index, so it fails validation however large or negative.
+	for _, pos := range []string{"1000000000000", "1", "-1"} {
+		in := `{"k":1,"bandwidth":10,"channels":[{"index":0,"slots":[
+			{"pos":` + pos + `,"item_id":1,"size":10,"start":0,"duration":1}],"cycle_length":1}]}`
+		if _, err := ReadJSON(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Fatalf("position %s: err = %v, want out-of-range rejection", pos, err)
+		}
+	}
 }
 
 // twiceScheduled is a well-formed single-channel program that

@@ -58,28 +58,6 @@ func (f *DBFlags) Load() (*core.Database, map[int]string, error) {
 	return db, nil, err
 }
 
-// CDSFlags selects the CDS move-selection engine for the drp-cds/cds
-// algorithms (see core.CDSStrategy for the engines).
-type CDSFlags struct {
-	Strategy string
-}
-
-// Register installs the CDS engine flag on fs.
-func (f *CDSFlags) Register(fs *flag.FlagSet) {
-	fs.StringVar(&f.Strategy, "cds-strategy", core.StrategyIncremental.String(),
-		"CDS move-selection engine: incremental (the pair-champion table) or naive (the paper's literal rescan)")
-}
-
-// Refiner resolves the flag into a CDS refiner, rejecting unknown
-// strategy names before any work is done.
-func (f *CDSFlags) Refiner() (*core.CDS, error) {
-	strat, err := core.ParseCDSStrategy(f.Strategy)
-	if err != nil {
-		return nil, err
-	}
-	return &core.CDS{Strategy: strat}, nil
-}
-
 // AlgorithmNames lists the allocators NewAllocator accepts.
 func AlgorithmNames() []string {
 	names := []string{"drp", "drp-cds", "cds", "vfk", "gopt", "flat", "greedy", "contig-dp", "exhaustive"}
@@ -90,17 +68,11 @@ func AlgorithmNames() []string {
 // NewAllocator constructs an allocator by name with the default CDS
 // engine. GOPT uses the reference budget with the given seed.
 func NewAllocator(name string, seed int64) (core.Allocator, error) {
-	return NewAllocatorCDS(name, seed, core.NewCDS())
-}
-
-// NewAllocatorCDS is NewAllocator with an explicit CDS refiner for
-// the algorithms that end in a CDS pass.
-func NewAllocatorCDS(name string, seed int64, cds *core.CDS) (core.Allocator, error) {
 	switch strings.ToLower(name) {
 	case "drp":
 		return core.NewDRP(), nil
 	case "drp-cds", "cds":
-		return &core.Refined{Base: core.NewDRP(), Refiner: cds}, nil
+		return &core.Refined{Base: core.NewDRP(), Refiner: core.NewCDS()}, nil
 	case "vfk":
 		return baseline.NewVFK(), nil
 	case "gopt":

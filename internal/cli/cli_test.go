@@ -5,8 +5,6 @@ import (
 	"io"
 	"strings"
 	"testing"
-
-	"diversecast/internal/core"
 )
 
 func parse(t *testing.T, args ...string) *DBFlags {
@@ -94,59 +92,5 @@ func TestNewAllocatorUnknown(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "drp-cds") {
 		t.Fatalf("error %q should list available algorithms", err)
-	}
-}
-
-func parseCDS(t *testing.T, args ...string) *CDSFlags {
-	t.Helper()
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	var f CDSFlags
-	f.Register(fs)
-	if err := fs.Parse(args); err != nil {
-		t.Fatal(err)
-	}
-	return &f
-}
-
-func TestCDSFlagsRoundTrip(t *testing.T) {
-	// Every strategy name round-trips through the flag into a refiner
-	// with the matching engine.
-	for _, s := range []core.CDSStrategy{core.StrategyIncremental, core.StrategyNaive} {
-		f := parseCDS(t, "-cds-strategy", s.String())
-		cds, err := f.Refiner()
-		if err != nil {
-			t.Fatalf("%s: %v", s, err)
-		}
-		if cds.Strategy != s {
-			t.Fatalf("strategy %q resolved to %v", s.String(), cds.Strategy)
-		}
-	}
-	// Default: the incremental engine.
-	cds, err := parseCDS(t).Refiner()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cds.Strategy != core.StrategyIncremental {
-		t.Fatalf("defaults resolved to %+v", cds)
-	}
-}
-
-func TestCDSFlagsErrors(t *testing.T) {
-	cases := [][]string{
-		{"-cds-strategy", "exhaustive"},
-		{"-cds-strategy", "parallel"},
-	}
-	for _, args := range cases {
-		if _, err := parseCDS(t, args...).Refiner(); err == nil {
-			t.Fatalf("args %v: want error", args)
-		}
-	}
-	// There is no batched mode, so no -cds-batch flag.
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	new(CDSFlags).Register(fs)
-	if err := fs.Parse([]string{"-cds-batch", "16"}); err == nil {
-		t.Fatal("-cds-batch still parses")
 	}
 }

@@ -112,21 +112,6 @@ func (a *Allocation) Groups() [][]int {
 // it to avoid both the O(N) membership filter and a per-call copy.
 func (a *Allocation) ChannelPositions(c int) []int { return a.members[c] }
 
-// GroupItems returns, per channel, the items assigned to it.
-//
-//diverselint:coldpath copying accessor for reports and tests, not per-move
-func (a *Allocation) GroupItems() [][]Item {
-	groups := a.Groups()
-	out := make([][]Item, a.k)
-	for c, g := range groups {
-		out[c] = make([]Item, len(g))
-		for i, pos := range g {
-			out[c][i] = a.db.Item(pos)
-		}
-	}
-	return out
-}
-
 // GroupAgg is the per-channel aggregate state used throughout the
 // paper: F is the aggregate frequency Σf, Z the aggregate size Σz, and
 // N the item count of the channel.

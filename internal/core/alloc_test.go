@@ -92,11 +92,6 @@ func TestGroupsAndAggregates(t *testing.T) {
 	if got, want := agg[0].Cost(), 0.4*40.0; got != want {
 		t.Errorf("agg[0].Cost = %v, want %v", got, want)
 	}
-
-	gi := a.GroupItems()
-	if gi[0][1].ID != 3 {
-		t.Errorf("GroupItems[0][1].ID = %d, want 3", gi[0][1].ID)
-	}
 }
 
 func TestCloneIsIndependent(t *testing.T) {

@@ -87,19 +87,6 @@ func (s CDSStrategy) String() string {
 	}
 }
 
-// ParseCDSStrategy maps a strategy name back to its value — the exact
-// inverse of String over both engines — for flag and config plumbing.
-func ParseCDSStrategy(name string) (CDSStrategy, error) {
-	switch name {
-	case "incremental":
-		return StrategyIncremental, nil
-	case "naive":
-		return StrategyNaive, nil
-	default:
-		return 0, fmt.Errorf("core: unknown CDS strategy %q (want incremental or naive)", name)
-	}
-}
-
 var _ Refiner = (*CDS)(nil)
 
 // NewCDS returns a CDS refiner with default settings.

@@ -361,26 +361,17 @@ func TestCDSPickOnAnyStaleMix(t *testing.T) {
 	}
 }
 
-// TestCDSStrategyRoundTrip pins String/ParseCDSStrategy as exact
-// inverses over both engines and the error path for unknown names and
-// values.
-func TestCDSStrategyRoundTrip(t *testing.T) {
-	for _, s := range []CDSStrategy{StrategyIncremental, StrategyNaive} {
-		got, err := ParseCDSStrategy(s.String())
-		if err != nil {
-			t.Fatalf("ParseCDSStrategy(%q): %v", s.String(), err)
+// TestCDSStrategyString pins the engine names that CDS trace spans
+// carry in their strategy attribute.
+func TestCDSStrategyString(t *testing.T) {
+	for s, want := range map[CDSStrategy]string{
+		StrategyIncremental: "incremental",
+		StrategyNaive:       "naive",
+		CDSStrategy(42):     "CDSStrategy(42)",
+	} {
+		if got := s.String(); got != want {
+			t.Fatalf("%d.String() = %q, want %q", int(s), got, want)
 		}
-		if got != s {
-			t.Fatalf("round trip %v → %q → %v", s, s.String(), got)
-		}
-	}
-	for _, name := range []string{"exhaustive", "parallel"} {
-		if _, err := ParseCDSStrategy(name); err == nil {
-			t.Fatalf("ParseCDSStrategy accepted unknown name %q", name)
-		}
-	}
-	if got := CDSStrategy(42).String(); got != "CDSStrategy(42)" {
-		t.Fatalf("unknown strategy String() = %q", got)
 	}
 }
 

@@ -205,47 +205,3 @@ func (p *Plan) Evaluate(trace []workload.Request) (*Result, error) {
 	res.Wait = all.Summarize()
 	return res, nil
 }
-
-// MeanWait returns the overall expected waiting time of the hybrid
-// plan for a trace, the objective SweepCut minimizes.
-func (p *Plan) MeanWait(trace []workload.Request) (float64, error) {
-	res, err := p.Evaluate(trace)
-	if err != nil {
-		return 0, err
-	}
-	return res.Wait.Mean, nil
-}
-
-// CutPoint is one evaluated push-set size.
-type CutPoint struct {
-	PushCount int
-	MeanWait  float64
-	Uplink    int
-}
-
-// SweepCut evaluates a set of push-set sizes and returns the results
-// together with the index of the best cut. It exposes the classic
-// hybrid U-shape: push too little and the pull channel saturates,
-// push everything and cold items bloat every cycle.
-func SweepCut(db *core.Database, cfg Config, trace []workload.Request, cuts []int) ([]CutPoint, int, error) {
-	if len(cuts) == 0 {
-		return nil, 0, errors.New("hybrid: no cuts to sweep")
-	}
-	out := make([]CutPoint, 0, len(cuts))
-	best := 0
-	for _, cut := range cuts {
-		plan, err := Build(db, cfg, cut)
-		if err != nil {
-			return nil, 0, err
-		}
-		res, err := plan.Evaluate(trace)
-		if err != nil {
-			return nil, 0, err
-		}
-		out = append(out, CutPoint{PushCount: cut, MeanWait: res.Wait.Mean, Uplink: res.UplinkMessages})
-		if res.Wait.Mean < out[best].MeanWait {
-			best = len(out) - 1
-		}
-	}
-	return out, best, nil
-}

@@ -148,40 +148,6 @@ func TestHybridBeatsPurePushOnColdTail(t *testing.T) {
 	}
 }
 
-func TestSweepCut(t *testing.T) {
-	db := testDB(t, 40, 7)
-	trace := testTrace(t, db, 4000, 8, 8)
-	cfg := Config{PushChannels: 2, Bandwidth: 10}
-	cuts := []int{4, 8, 16, 32}
-	points, best, err := SweepCut(db, cfg, trace, cuts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != len(cuts) {
-		t.Fatalf("%d points for %d cuts", len(points), len(cuts))
-	}
-	for i, pt := range points {
-		if pt.PushCount != cuts[i] {
-			t.Fatalf("point %d: cut %d, want %d", i, pt.PushCount, cuts[i])
-		}
-		if pt.MeanWait <= 0 {
-			t.Fatalf("cut %d: wait %v", pt.PushCount, pt.MeanWait)
-		}
-		if pt.MeanWait < points[best].MeanWait {
-			t.Fatalf("best index %d is not minimal", best)
-		}
-	}
-	// Uplink load strictly falls as more items are pushed.
-	for i := 1; i < len(points); i++ {
-		if points[i].Uplink > points[i-1].Uplink {
-			t.Fatalf("uplink grew with push count: %v", points)
-		}
-	}
-	if _, _, err := SweepCut(db, cfg, trace, nil); err == nil {
-		t.Fatal("empty cut list should fail")
-	}
-}
-
 func TestEvaluateEmptyTrace(t *testing.T) {
 	db := testDB(t, 20, 9)
 	plan, err := Build(db, Config{PushChannels: 2, Bandwidth: 10}, 8)

@@ -65,9 +65,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum reports the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Bounds returns the histogram range [lo, hi).
-func (h *Histogram) Bounds() (lo, hi float64) { return h.lo, h.hi }
-
 // Bins reports the bin count.
 func (h *Histogram) Bins() int { return len(h.bins) }
 

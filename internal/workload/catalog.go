@@ -10,7 +10,7 @@ import (
 )
 
 // Catalog is a named broadcast database: a realistic scenario with
-// human-readable item titles, used by the examples and the CLI tools.
+// human-readable item titles, used by the CLI tools (-catalog).
 type Catalog struct {
 	Name        string
 	Description string

@@ -1,7 +1,7 @@
 // Package workload generates the broadcast databases and client
 // request traces the paper's evaluation runs on: Zipf access
 // frequencies with skewness θ, log-uniform sizes with diversity Φ
-// (Table 5), plus named catalog scenarios used by the examples.
+// (Table 5), plus named catalog scenarios for the CLI tools.
 package workload
 
 import (
