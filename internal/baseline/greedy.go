@@ -2,9 +2,9 @@ package baseline
 
 import (
 	"fmt"
-	"sort"
 
 	"diversecast/internal/core"
+	"diversecast/internal/keyorder"
 )
 
 // Greedy is a longest-processing-time-style list allocator: items are
@@ -32,9 +32,9 @@ func (*Greedy) Allocate(db *core.Database, k int) (*core.Allocation, error) {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ia, ib := db.Item(order[a]), db.Item(order[b])
-		return ia.Freq*ia.Size > ib.Freq*ib.Size
+	keyorder.Stable(order, func(p int) uint64 {
+		it := db.Item(p)
+		return keyorder.Descending(it.Freq * it.Size)
 	})
 
 	channel := make([]int, db.Len())

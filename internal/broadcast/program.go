@@ -9,10 +9,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"diversecast/internal/core"
+	"diversecast/internal/keyorder"
 )
 
 // Slot is one item transmission within a channel cycle.
@@ -90,16 +91,17 @@ func Build(a *core.Allocation, bandwidth float64, order SlotOrder) (*Program, er
 	db := a.Database()
 	agg := a.Aggregates()
 	p := &Program{K: a.K(), Bandwidth: bandwidth, Channels: make([]Channel, a.K())}
-	for c, group := range a.Groups() {
+	for c := range p.Channels {
+		// ByPosition reads the allocation's member list as is; the
+		// other orders sort a copy of it.
+		group := a.ChannelPositions(c)
 		switch order {
 		case ByFrequency:
-			sort.SliceStable(group, func(i, j int) bool {
-				return db.Item(group[i]).Freq > db.Item(group[j]).Freq
-			})
+			group = slices.Clone(group)
+			keyorder.Stable(group, func(pos int) uint64 { return keyorder.Descending(db.Item(pos).Freq) })
 		case BySize:
-			sort.SliceStable(group, func(i, j int) bool {
-				return db.Item(group[i]).Size < db.Item(group[j]).Size
-			})
+			group = slices.Clone(group)
+			keyorder.Stable(group, func(pos int) uint64 { return keyorder.Ascending(db.Item(pos).Size) })
 		}
 		ch := Channel{Index: c, Slots: make([]Slot, 0, len(group))}
 		var at float64

@@ -3,6 +3,9 @@ package broadcast
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -73,6 +76,60 @@ func TestBuildStructure(t *testing.T) {
 	}
 	if count != db.Len() {
 		t.Fatalf("%d slots for %d items", count, db.Len())
+	}
+}
+
+// TestSlotOrdersMatchSliceStable pins ByFrequency and BySize to the
+// comparison sort they replaced, sort.SliceStable over each channel's
+// ascending positions, on the Table 5 catalog (groups on both sides of
+// the key order's insertion/radix crossover) and on a tie-heavy
+// database, and checks that no order reorders the allocation itself.
+func TestSlotOrdersMatchSliceStable(t *testing.T) {
+	table5, err := workload.Config{N: 2000, Theta: 0.8, Phi: 2, Seed: 1}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	ties := make([]core.Item, 600)
+	for i := range ties {
+		ties[i] = core.Item{ID: i, Freq: float64(1 + rng.Intn(3)), Size: float64(1 + rng.Intn(2))}
+	}
+	tieDB := core.MustNewDatabase(ties)
+	for _, db := range []*core.Database{table5, tieDB} {
+		for _, k := range []int{3, 32} {
+			a, err := core.NewDRP().Allocate(db, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := a.Groups()
+			for _, tc := range []struct {
+				order SlotOrder
+				less  func(x, y core.Item) bool
+			}{
+				{ByPosition, func(x, y core.Item) bool { return false }},
+				{ByFrequency, func(x, y core.Item) bool { return x.Freq > y.Freq }},
+				{BySize, func(x, y core.Item) bool { return x.Size < y.Size }},
+			} {
+				p, err := Build(a, 10, tc.order)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for c, group := range before {
+					want := slices.Clone(group)
+					sort.SliceStable(want, func(i, j int) bool { return tc.less(db.Item(want[i]), db.Item(want[j])) })
+					got := make([]int, len(p.Channels[c].Slots))
+					for i, s := range p.Channels[c].Slots {
+						got[i] = s.Pos
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("N=%d K=%d order %d channel %d: slots %v, sort.SliceStable %v", db.Len(), k, tc.order, c, got, want)
+					}
+				}
+				if !slices.EqualFunc(a.Groups(), before, slices.Equal) {
+					t.Fatalf("N=%d K=%d: Build with order %d reordered the allocation", db.Len(), k, tc.order)
+				}
+			}
+		}
 	}
 }
 

@@ -5,9 +5,11 @@ import (
 	"testing"
 )
 
-// Micro-benchmarks for the paper's algorithms: Lemma 1 claims DRP is
-// K·(O(K log K) + O(N)); CDS is O(K·N) move evaluations per applied
-// move. The N and K sweeps below make both scalings visible.
+// Micro-benchmarks for the paper's algorithms. DRP is an O(N) key
+// order (ByBenefitRatio's radix sort) plus K·(O(K log K) + O(N)) for
+// its split scans and heap, Lemma 1's bound once the items are in
+// order; CDS is O(K·N) move evaluations per applied move. The N and K
+// sweeps below make both scalings visible.
 
 func benchDB(b *testing.B, n int) *Database {
 	b.Helper()
@@ -15,7 +17,7 @@ func benchDB(b *testing.B, n int) *Database {
 }
 
 func BenchmarkDRP(b *testing.B) {
-	for _, n := range []int{60, 120, 240, 480, 960} {
+	for _, n := range []int{60, 120, 240, 480, 960, 10000} {
 		db := benchDB(b, n)
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
@@ -126,11 +128,18 @@ func BenchmarkCost(b *testing.B) {
 	}
 }
 
+// BenchmarkByBenefitRatio times DRP's key order at the serve shape
+// (N=120, below the insertion/radix crossover), N=960 and the plan
+// shape (N=10⁴).
 func BenchmarkByBenefitRatio(b *testing.B) {
-	db := benchDB(b, 960)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = db.ByBenefitRatio()
+	for _, n := range []int{120, 960, 10000} {
+		db := benchDB(b, n)
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = db.ByBenefitRatio()
+			}
+		})
 	}
 }
 

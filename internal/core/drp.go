@@ -26,9 +26,11 @@ const (
 // costliest group and splits it at the contiguous cut point that
 // minimizes the summed cost of the two halves, until K groups remain.
 //
-// Complexity: K·(O(K log K) + O(N)) as shown in the paper's Lemma 1
-// (each of the K−1 iterations pays a heap operation plus a linear scan
-// for the best cut).
+// Complexity: O(N) for the benefit-ratio order (ByBenefitRatio's
+// radix sort over the ratios' bit patterns) and O(N) for the prefix
+// sums, plus K·(O(K log K) + O(N)) for the splits as in the paper's
+// Lemma 1: each of the K−1 iterations pays a heap operation plus a
+// linear scan for the best cut. The lemma starts from sorted items.
 //
 // The zero value is ready to use and follows the paper's published
 // pseudocode (PolicyMaxCost).
@@ -137,7 +139,7 @@ func (d *DRP) AllocateWithTrace(db *Database, k int) (*Allocation, *Trace, error
 	return d.allocate(db, k, true)
 }
 
-//diverselint:coldpath one-shot O(N log N + K log K) channel planning, not per-broadcast-cycle
+//diverselint:coldpath one-shot channel planning, O(N) key order plus K·(O(K log K) + O(N)) split scans and heap, not per-broadcast-cycle
 func (d *DRP) allocate(db *Database, k int, wantTrace bool) (*Allocation, *Trace, error) {
 	n := db.Len()
 	if k < 1 || k > n {

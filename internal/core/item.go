@@ -4,7 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+
+	"diversecast/internal/keyorder"
 )
 
 // Item is a single broadcast data item. Freq is the item's access
@@ -130,15 +131,11 @@ func (db *Database) Normalized() *Database {
 
 // ByBenefitRatio returns the item positions sorted by benefit ratio in
 // descending order, the order DRP consumes. Ties break by ascending
-// position so the order is deterministic.
+// position so the order is deterministic. It costs O(N): one key per
+// item and a radix sort (internal/keyorder).
 func (db *Database) ByBenefitRatio() []int {
-	idx := make([]int, len(db.items))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return db.items[idx[a]].BenefitRatio() > db.items[idx[b]].BenefitRatio()
-	})
+	idx := positions(len(db.items))
+	keyorder.Stable(idx, func(p int) uint64 { return keyorder.Descending(db.items[p].BenefitRatio()) })
 	return idx
 }
 
@@ -146,13 +143,17 @@ func (db *Database) ByBenefitRatio() []int {
 // descending order, the order conventional (equal-size) allocators such
 // as VF^K consume. Ties break by ascending position.
 func (db *Database) ByFreq() []int {
-	idx := make([]int, len(db.items))
+	idx := positions(len(db.items))
+	keyorder.Stable(idx, func(p int) uint64 { return keyorder.Descending(db.items[p].Freq) })
+	return idx
+}
+
+// positions returns 0, 1, …, n−1, the input of a stable position sort.
+func positions(n int) []int {
+	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return db.items[idx[a]].Freq > db.items[idx[b]].Freq
-	})
 	return idx
 }
 
