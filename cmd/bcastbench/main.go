@@ -7,7 +7,7 @@
 // command produces one self-describing artifact:
 //
 //   - CDSScale: the production-scale CDS grid comparing the naive
-//     full rescan against the incremental pair-champion table (N up
+//     full rescan against the default lazy-bound pair table (N up
 //     to 10k, K up to 64), plus the derived naive/incremental
 //     speedups. Full runs add two large-N cells for the default
 //     engine: N=10^5/K=256, and N=10^6/K=1024 pinned to one

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"diversecast/internal/obs/trace"
 )
@@ -29,10 +30,12 @@ const (
 // paper's stated O(K²N) bound); the incremental strategy exploits
 // that a move D_p → D_q only changes those two groups' aggregates and
 // members: it keeps a K×K table of per-(source, destination) champions
-// or upper bounds, updates the touched rows and columns in O(K) per
-// move, and rescans only the cells whose bound could beat the best
-// (see DESIGN.md §2). Both strategies select bit-for-bit identical
-// moves.
+// or upper bounds, and per move rebounds the touched rows and columns
+// in O(K), passes once over the K² cells for those that reach the
+// running best (sixteen at a time in an AVX2 scan from K = 16 on),
+// and rescans the members of only the cells whose bound could beat
+// the best (see DESIGN.md §2). Both strategies select bit-for-bit
+// identical moves.
 type CDS struct {
 	// MaxMoves bounds the number of applied moves; 0 means no bound
 	// beyond Epsilon-driven termination. Cost strictly decreases by
@@ -138,6 +141,11 @@ type selStats struct {
 	// recomputed counts members scanned by exact cell scans (refreshes,
 	// the table build included).
 	recomputed int64
+	// visited counts the cells pick's passes hand to the fresh/stale
+	// test: those that reach the running best. The AVX2 pass scan and
+	// the scalar loop visit the same cells, so the count is the same
+	// on every host.
+	visited int64
 }
 
 func (c *CDS) refine(a *Allocation, wantTrace bool) (*Allocation, []Move, error) {
@@ -249,6 +257,7 @@ func (c *CDS) refine(a *Allocation, wantTrace bool) (*Allocation, []Move, error)
 	st := sel.stats()
 	cdsScans.Add(st.scans)
 	cdsCandidatesRecomputed.Add(st.recomputed)
+	cdsPassCells.Add(st.visited)
 	cdsSeconds.Observe(timeNow().Sub(start).Seconds())
 	if span.Active() {
 		span.End(trace.Int("moves", int64(applied)), trace.Float("cost_after", cost))
@@ -349,12 +358,16 @@ type incrementalSelector struct {
 	lim []cdsItem
 	// zcap and fcap bound Z_p+Z_q and F_p+F_q for any two groups.
 	zcap, fcap float64
+	// passKernel is whether pick's pass runs through the AVX2 pass
+	// scan: K ≥ passFloor.
+	passKernel bool
 	// cont is pick's contender scratch: up to K² stale cell indices.
 	cont       []int32
 	champ      Move
 	champFound bool
 	scans      int64
 	recomputed int64
+	visited    int64
 }
 
 const (
@@ -382,6 +395,8 @@ func newIncrementalSelector(cur *Allocation, agg []GroupAgg) *incrementalSelecto
 		prev: append([]GroupAgg(nil), agg...),
 		lim:  make([]cdsItem, k),
 		cont: make([]int32, k*k),
+
+		passKernel: k >= passFloor,
 	}
 	for i, it := range cur.db.items {
 		x := cdsItem{f: it.Freq, z: it.Size, tfz: 2 * it.Freq * it.Size}
@@ -469,13 +484,49 @@ func keyFloat(k int64) float64 {
 // source and cells by ascending destination, keeps the best fresh cell
 // and collects the stale cells whose bound reaches the running best;
 // each contender that could still precede the best is then refreshed
-// and compared in turn.
+// and compared in turn. From K = passFloor on, the pass skips the cells
+// below the running best sixteen at a time in the AVX2 pass scan and
+// hands the scalar loop only the rest of the table after the last full
+// block; both visit the same cells in the same order (DESIGN.md §2).
 func (s *incrementalSelector) pick() {
 	k := s.k
 	best, bestRow, bestDC := -1, -1, 0.0
-	n := 0
-	for p := 0; p < k; p++ {
-		for c := p * k; c < (p+1)*k; c++ {
+	n, visited := 0, int64(0)
+	// c0 is the first cell the scalar loop visits.
+	c0 := 0
+	if s.passKernel {
+		dcs := s.dc
+		n16 := len(dcs) &^ 15
+		p, rowEnd := 0, k
+		for c0 < n16 {
+			at, mask := passScanAVX2(&dcs[c0], n16-c0, bestDC)
+			block := c0 + at
+			// The block was scanned under a threshold no higher than
+			// bestDC, so its mask holds every cell the scalar loop
+			// visits and maybe more; the re-check drops the rest.
+			for ; mask != 0; mask &= mask - 1 {
+				c := block + bits.TrailingZeros64(mask)
+				dc := dcs[c]
+				if dc < bestDC {
+					continue
+				}
+				for c >= rowEnd {
+					p, rowEnd = p+1, rowEnd+k
+				}
+				visited++
+				if s.pos[c] < 0 {
+					s.cont[n] = int32(c)
+					n++
+				} else if s.precedes(c, p, dc, best, bestRow, bestDC) {
+					best, bestRow, bestDC = c, p, dc
+				}
+			}
+			c0 = block + 16
+		}
+		c0 = n16
+	}
+	for p := c0 / k; p < k; p++ {
+		for c := max(p*k, c0); c < (p+1)*k; c++ {
 			// Few cells reach the running best, so test that first: a
 			// branch on fresh versus stale alone would mispredict on the
 			// table's mix of the two.
@@ -483,6 +534,7 @@ func (s *incrementalSelector) pick() {
 			if dc < bestDC {
 				continue
 			}
+			visited++
 			if s.pos[c] < 0 {
 				s.cont[n] = int32(c)
 				n++
@@ -491,6 +543,7 @@ func (s *incrementalSelector) pick() {
 			}
 		}
 	}
+	s.visited += visited
 	for _, c32 := range s.cont[:n] {
 		c := int(c32)
 		p := c / k
@@ -601,5 +654,5 @@ func (s *incrementalSelector) applied(m Move) {
 }
 
 func (s *incrementalSelector) stats() selStats {
-	return selStats{scans: s.scans, recomputed: s.recomputed}
+	return selStats{scans: s.scans, recomputed: s.recomputed, visited: s.visited}
 }

@@ -12,26 +12,38 @@ import (
 // (measured in DESIGN.md §11).
 const kernelMinMean = 32
 
-// noKernel is kernelFloor's value where refresh never takes the kernel.
+// passMinK is the crossover of the AVX2 pass scan: the fewest groups
+// (K) at which pick's pass over the K² cells runs through passScanAVX2.
+// Below it the kernel's calls and the Go walk over its hit masks cost
+// more than the compares they vectorise (measured in DESIGN.md §11).
+const passMinK = 16
+
+// noKernel is a floor no instance reaches: the scalar loop always runs.
 const noKernel = math.MaxInt
 
 // kernelFloor is the mean group size from which refinements take the
-// AVX2 member scan. It is set once at init: kernelMinMean where the CPU
-// has AVX2 and the OS saves its registers, noKernel elsewhere and off
-// amd64. Only tests change it, to 0 to force the kernel at every size
-// or to noKernel to run the scalar loop on an AVX2 host.
-var kernelFloor = initKernelFloor()
+// AVX2 member scan, and passFloor the group count from which they take
+// the AVX2 pass scan. Both are set once at init: their crossovers
+// where the CPU has AVX2 and the OS saves its registers, noKernel
+// elsewhere and off amd64. Only tests change them, to 0 to force a
+// kernel at every size or to noKernel to run the scalar loop on an
+// AVX2 host.
+var (
+	kernelFloor = initFloor(kernelMinMean)
+	passFloor   = initFloor(passMinK)
+)
 
-func initKernelFloor() int {
+func initFloor(crossover int) int {
 	if haveAVX2() {
-		return kernelMinMean
+		return crossover
 	}
 	return noKernel
 }
 
 // CDSKernel names the member scan the default CDS engine runs on this
-// host once groups average 32 members or more (N/K ≥ 32): "avx2" for
-// the vector kernel, "go" for the scalar loop. Both give the same bits.
+// host once groups average 32 members or more (N/K ≥ 32), and the pass
+// scan it runs from K = 16 on: "avx2" for the vector kernels, "go" for
+// the scalar loops. Both give the same bits.
 func CDSKernel() string {
 	if kernelFloor == noKernel {
 		return "go"

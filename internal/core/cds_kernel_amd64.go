@@ -8,6 +8,14 @@ package core
 //go:noescape
 func maxReductionAVX2(f, z, tfz *float64, n int, dz, df float64) (best float64, idx int)
 
+// passScanAVX2 compares dc[i] against t for i in [0, n), n a positive
+// multiple of 16, in blocks of 16. It returns the start of the first
+// block holding a cell with !(dc[i] < t) and that block's hit mask,
+// bit j for cell at+j; (n, 0) when no block holds one.
+//
+//go:noescape
+func passScanAVX2(dc *float64, n int, t float64) (at int, mask uint64)
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)

@@ -98,6 +98,55 @@ loop:
 	VZEROUPPER
 	RET
 
+// func passScanAVX2(dc *float64, n int, t float64) (at int, mask uint64)
+//
+// Each block of 16 cells is four compares of t against memory with
+// NGT_UQ, !(t > dc): true where the scalar pass's dc < t is false, NaN
+// included. The four masks are OR-ed and tested, so a block below t
+// costs four loads, three ORs and one branch. The first block with a
+// set lane returns its start and its 16 lane bits, cell i of the block
+// in bit i; no such block returns (n, 0).
+TEXT ·passScanAVX2(SB), NOSPLIT, $0-40
+	MOVQ dc+0(FP), SI
+	MOVQ n+8(FP), CX
+	VBROADCASTSD t+16(FP), Y0
+	XORQ AX, AX
+
+scan:
+	VCMPPD $0x1a, (SI)(AX*8), Y0, Y1
+	VCMPPD $0x1a, 32(SI)(AX*8), Y0, Y2
+	VCMPPD $0x1a, 64(SI)(AX*8), Y0, Y3
+	VCMPPD $0x1a, 96(SI)(AX*8), Y0, Y4
+	VORPD  Y1, Y2, Y5
+	VORPD  Y3, Y4, Y6
+	VORPD  Y5, Y6, Y5
+	VPTEST Y5, Y5
+	JNZ    hit
+	ADDQ   $16, AX
+	CMPQ   AX, CX
+	JLT    scan
+
+	MOVQ CX, at+24(FP)
+	MOVQ $0, mask+32(FP)
+	VZEROUPPER
+	RET
+
+hit:
+	VMOVMSKPD Y1, BX
+	VMOVMSKPD Y2, DX
+	SHLQ      $4, DX
+	ORQ       DX, BX
+	VMOVMSKPD Y3, DX
+	SHLQ      $8, DX
+	ORQ       DX, BX
+	VMOVMSKPD Y4, DX
+	SHLQ      $12, DX
+	ORQ       DX, BX
+	MOVQ      AX, at+24(FP)
+	MOVQ      BX, mask+32(FP)
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

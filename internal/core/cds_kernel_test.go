@@ -3,12 +3,15 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// withKernel runs f once per refresh path: "go" with the scalar loop
-// and "avx2" with the kernel forced at every size. The avx2 pass is
+// withKernel runs f once per kernel setting: "go" with both kernels
+// off, so refresh and pick run their scalar loops, and "avx2" with the
+// member scan and the pass scan forced at every size. The avx2 pass is
 // skipped on hosts without AVX2.
 func withKernel(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
@@ -26,11 +29,12 @@ func withKernel(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-// setKernelFloor sets kernelFloor and returns the function restoring it.
+// setKernelFloor sets kernelFloor and passFloor to floor and returns
+// the function restoring both.
 func setKernelFloor(floor int) (restore func()) {
-	old := kernelFloor
-	kernelFloor = floor
-	return func() { kernelFloor = old }
+	oldMember, oldPass := kernelFloor, passFloor
+	kernelFloor, passFloor = floor, floor
+	return func() { kernelFloor, passFloor = oldMember, oldPass }
 }
 
 // loopScan is refresh's scalar loop over the members of group g, the
@@ -163,5 +167,183 @@ func TestMemberArraysFollowMoves(t *testing.T) {
 	}
 	if relayouts < 2 {
 		t.Fatalf("the windows were laid out again %d times, want at least 2", relayouts)
+	}
+}
+
+// loopPass is pick's scalar pass over a flat table, the reference the
+// pass scan must reproduce: the cells that reach the threshold t, in
+// ascending order. Visiting a cell marked raise with a value above t
+// lifts t to it, as a fresh cell that becomes the best lifts bestDC.
+func loopPass(dc []float64, raise []bool, t float64) []int {
+	var seq []int
+	for c, v := range dc {
+		if v < t {
+			continue
+		}
+		seq = append(seq, c)
+		if raise[c] && v > t {
+			t = v
+		}
+	}
+	return seq
+}
+
+// kernelPass is the same pass through pick's kernel walk: passScanAVX2
+// over the full blocks, each hit mask walked in ascending bit order and
+// re-checked against the current t, then the scalar loop over the tail.
+func kernelPass(dc []float64, raise []bool, t float64) []int {
+	var seq []int
+	c0, n16 := 0, len(dc)&^15
+	for c0 < n16 {
+		at, mask := passScanAVX2(&dc[c0], n16-c0, t)
+		block := c0 + at
+		for ; mask != 0; mask &= mask - 1 {
+			c := block + bits.TrailingZeros64(mask)
+			if dc[c] < t {
+				continue
+			}
+			seq = append(seq, c)
+			if raise[c] && dc[c] > t {
+				t = dc[c]
+			}
+		}
+		c0 = block + 16
+	}
+	for c := n16; c < len(dc); c++ {
+		if dc[c] < t {
+			continue
+		}
+		seq = append(seq, c)
+		if raise[c] && dc[c] > t {
+			t = dc[c]
+		}
+	}
+	return seq
+}
+
+// passPalette is the values a pass-scan table draws its cells from: the
+// diagonal's −Inf, both zeros, the thresholds themselves and their
+// neighbours, NaN, and a spread of ordinary values.
+var passPalette = []float64{
+	math.Inf(-1), math.Copysign(0, -1), 0, 1, 2, 3,
+	math.Nextafter(1, 0), math.Nextafter(2, 3), -1, -0.5, 0.5, 2.5,
+	math.Inf(1), math.NaN(), 1e-300, 1e300,
+}
+
+// checkPass fails unless kernelPass visits exactly loopPass's cells.
+func checkPass(t *testing.T, what string, dc []float64, raise []bool, thr float64) {
+	t.Helper()
+	want := loopPass(dc, raise, thr)
+	if got := kernelPass(dc, raise, thr); !slices.Equal(got, want) {
+		t.Fatalf("%s: %d cells from t=%v: kernel visits %v, loop %v", what, len(dc), thr, got, want)
+	}
+}
+
+// TestPassScanMatchesLoop is the pass-kernel-versus-loop differential:
+// tables of 1–300 cells (every tail length 0–15 against 0–18 full
+// blocks), random over passPalette or tie-heavy over {−Inf, ±0, 1, 2},
+// with a third of the cells raising the threshold when visited, from
+// thresholds 0, 1 and 2. The kernel-driven pass must visit the scalar
+// pass's cells in the same order.
+func TestPassScanMatchesLoop(t *testing.T) {
+	if !haveAVX2() {
+		t.Skip("no AVX2 on this host")
+	}
+	rng := rand.New(rand.NewSource(27))
+	ties := []float64{math.Inf(-1), math.Copysign(0, -1), 0, 1, 2}
+	for length := 1; length <= 300; length++ {
+		for trial := 0; trial < 8; trial++ {
+			palette := passPalette
+			if trial%2 == 1 {
+				palette = ties
+			}
+			dc, raise := make([]float64, length), make([]bool, length)
+			for c := range dc {
+				dc[c], raise[c] = palette[rng.Intn(len(palette))], rng.Intn(3) == 0
+			}
+			for _, thr := range []float64{0, 1, 2} {
+				checkPass(t, fmt.Sprintf("trial %d", trial), dc, raise, thr)
+			}
+		}
+	}
+}
+
+// FuzzPassScan fuzzes the same property: each byte of cells is one
+// cell, its low nibble a passPalette index and its high bit whether
+// visiting it raises the threshold; thr picks the starting threshold.
+func FuzzPassScan(f *testing.F) {
+	f.Add(uint8(0), []byte{3, 0x84, 2, 0, 1, 5, 0x83, 4, 4, 3, 2, 1, 0, 0x85, 6, 7, 8, 9, 0x8d})
+	f.Add(uint8(1), make([]byte, 40))
+	f.Add(uint8(2), []byte{0x85, 0x84, 0x83, 0x82, 0x81, 0x80, 5, 4, 3, 2, 1, 0, 5, 4, 3, 2, 1, 0, 0x8c, 0x8d, 3, 3, 3})
+	f.Fuzz(func(t *testing.T, thr uint8, cells []byte) {
+		if !haveAVX2() {
+			t.Skip("no AVX2 on this host")
+		}
+		dc, raise := make([]float64, len(cells)), make([]bool, len(cells))
+		for c, b := range cells {
+			dc[c], raise[c] = passPalette[int(b&15)], b&0x80 != 0
+		}
+		checkPass(t, "fuzz", dc, raise, float64(thr%4))
+	})
+}
+
+// selectorRun drives the default engine on a like refine, applying
+// every move next hands out until it finds none, and returns the moves
+// and the selector's counters. It fails unless the selector runs the
+// pass scan exactly when wantPass is set.
+func selectorRun(t *testing.T, a *Allocation, wantPass bool) ([]Move, selStats) {
+	t.Helper()
+	cur := a.Clone()
+	agg := cur.Aggregates()
+	sel := newIncrementalSelector(cur, agg)
+	if sel.passKernel != wantPass {
+		t.Fatalf("K=%d: pass kernel %v, want %v", cur.K(), sel.passKernel, wantPass)
+	}
+	var moves []Move
+	for {
+		m, found := sel.next()
+		if !found {
+			return moves, sel.stats()
+		}
+		applyMove(cur, agg, sel, m)
+		moves = append(moves, m)
+	}
+}
+
+// TestPassCellsSameWithAndWithoutKernel makes "the pass scan visits the
+// scalar loop's cells" an exact count: full refinements of the Table 5
+// shape (Zipf θ = 0.8, sizes over Φ = 2 decades) from DRP and random
+// starts, K from 16 to 64, must apply the same moves and hand the same
+// number of cells to the fresh/stale test with both kernels forced as
+// with both off.
+func TestPassCellsSameWithAndWithoutKernel(t *testing.T) {
+	if !haveAVX2() {
+		t.Skip("no AVX2 on this host")
+	}
+	db := diverseDatabase(t, 1, 2000, 0.8, 2)
+	for _, k := range []int{16, 23, 64} {
+		drp, err := NewDRP().Allocate(db, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, start := range []struct {
+			name string
+			a    *Allocation
+		}{{"drp", drp}, {"random", randomAllocation(t, db, k, k)}} {
+			restore := setKernelFloor(noKernel)
+			goMoves, goStats := selectorRun(t, start.a, false)
+			restore()
+			restore = setKernelFloor(0)
+			kMoves, kStats := selectorRun(t, start.a, true)
+			restore()
+			if !slices.Equal(goMoves, kMoves) {
+				t.Fatalf("K=%d %s: the kernels change the moves (%d against %d)", k, start.name, len(kMoves), len(goMoves))
+			}
+			if goStats != kStats || goStats.visited == 0 {
+				t.Fatalf("K=%d %s: counters with the kernels %+v, without %+v", k, start.name, kStats, goStats)
+			}
+			t.Logf("K=%d %s: %d moves, %d pass cells visited (%.1f per pick of %d cells)",
+				k, start.name, len(goMoves), goStats.visited, float64(goStats.visited)/float64(len(goMoves)+1), k*k)
+		}
 	}
 }

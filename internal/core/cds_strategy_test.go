@@ -9,7 +9,7 @@ import (
 )
 
 // This file pins the CDS move-selection engines to each other: the
-// incremental pair-champion table must produce a move-for-move
+// default lazy-bound pair table must produce a move-for-move
 // identical refinement — same positions, same channels, and the same
 // floating-point BITS for every Δc and cost — as the naive full
 // rescan, across workload shapes (N, K, skewness θ, diversity Φ) far
@@ -321,44 +321,49 @@ func TestCDSIncrementalBoundsAbsorbRounding(t *testing.T) {
 // greatly raised value, as its bound, and pick must still hand out
 // the same move. Tie-heavy tables make a stale cell whose bound equals
 // the best fresh Δc common, so a pick that refreshes only bounds
-// strictly above the best fails here.
+// strictly above the best fails here. K runs from 2 to 20, so tables
+// span up to 25 of the pass scan's 16-cell blocks and end in every
+// tail a square table can have (K² mod 16 is 0, 1, 4 or 9), with both
+// kernels forced and with both off.
 func TestCDSPickOnAnyStaleMix(t *testing.T) {
-	for seed := 0; seed < 3000; seed++ {
-		var db *Database
-		if seed%2 == 0 {
-			db = tieDatabase(t, seed, 12+seed%40)
-		} else {
-			db = diverseDatabase(t, seed, 12+seed%40, 0.8, 2)
-		}
-		k := 2 + seed%6
-		cur := randomAllocation(t, db, k, seed)
-		sel := newIncrementalSelector(cur, cur.Aggregates())
-		want, wantFound := sel.next()
-		dc := append([]float64(nil), sel.dc...)
-		pos := append([]int32(nil), sel.pos...)
-		rng := rand.New(rand.NewSource(int64(seed)))
-		for trial := 0; trial < 20; trial++ {
-			copy(sel.dc, dc)
-			copy(sel.pos, pos)
-			for c := range sel.dc {
-				if sel.pos[c] < 0 || rng.Intn(2) == 0 {
-					continue
+	withKernel(t, func(t *testing.T) {
+		for seed := 0; seed < 3000; seed++ {
+			var db *Database
+			if seed%2 == 0 {
+				db = tieDatabase(t, seed, 20+seed%40)
+			} else {
+				db = diverseDatabase(t, seed, 20+seed%40, 0.8, 2)
+			}
+			k := 2 + seed%19
+			cur := randomAllocation(t, db, k, seed)
+			sel := newIncrementalSelector(cur, cur.Aggregates())
+			want, wantFound := sel.next()
+			dc := append([]float64(nil), sel.dc...)
+			pos := append([]int32(nil), sel.pos...)
+			rng := rand.New(rand.NewSource(int64(seed)))
+			for trial := 0; trial < 20; trial++ {
+				copy(sel.dc, dc)
+				copy(sel.pos, pos)
+				for c := range sel.dc {
+					if sel.pos[c] < 0 || rng.Intn(2) == 0 {
+						continue
+					}
+					sel.pos[c] = -1
+					switch rng.Intn(3) {
+					case 1:
+						sel.dc[c] = math.Nextafter(sel.dc[c], math.Inf(1))
+					case 2:
+						sel.dc[c] += 1 + math.Abs(sel.dc[c])
+					}
 				}
-				sel.pos[c] = -1
-				switch rng.Intn(3) {
-				case 1:
-					sel.dc[c] = math.Nextafter(sel.dc[c], math.Inf(1))
-				case 2:
-					sel.dc[c] += 1 + math.Abs(sel.dc[c])
+				sel.pick()
+				got, found := sel.next()
+				if found != wantFound || got != want {
+					t.Fatalf("seed %d trial %d: pick on a stale mix = %+v (%v), all fresh = %+v (%v)", seed, trial, got, found, want, wantFound)
 				}
 			}
-			sel.pick()
-			got, found := sel.next()
-			if found != wantFound || got != want {
-				t.Fatalf("seed %d trial %d: pick on a stale mix = %+v (%v), all fresh = %+v (%v)", seed, trial, got, found, want, wantFound)
-			}
 		}
-	}
+	})
 }
 
 // TestCDSStrategyString pins the engine names that CDS trace spans

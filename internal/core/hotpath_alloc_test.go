@@ -50,30 +50,35 @@ func TestHotPathContractsAllocFree(t *testing.T) {
 		})
 	})
 
+	// N=96 over K=6 is below both kernels' crossovers: withKernel runs
+	// the gate with both scalar loops and with both kernels forced.
 	t.Run("incrementalSelector", func(t *testing.T) {
-		cur := base.Clone()
-		agg := cur.Aggregates()
-		sel := newIncrementalSelector(cur, agg)
-		alloctest.MustZeroAllocs(t, "incrementalSelector.next", 2, func() {
-			sel.next()
+		withKernel(t, func(t *testing.T) {
+			cur := base.Clone()
+			agg := cur.Aggregates()
+			sel := newIncrementalSelector(cur, agg)
+			alloctest.MustZeroAllocs(t, "incrementalSelector.next", 2, func() {
+				sel.next()
+			})
+			alloctest.MustZeroAllocs(t, "incrementalSelector.applied", 2, pingPong(cur, agg, sel))
 		})
-		alloctest.MustZeroAllocs(t, "incrementalSelector.applied", 2, pingPong(cur, agg, sel))
 	})
 
-	// The gate above runs the scalar refresh (N=96 over K=6 is below
-	// the kernel's crossover); this one is large enough for the default
-	// crossover to build the member arrays, so applied moves them and
-	// refreshes through the AVX2 kernel.
+	// This one is large enough for the default crossovers to build the
+	// member arrays and take the pass scan, so applied moves the arrays,
+	// refreshes through the AVX2 member scan and picks through the AVX2
+	// pass scan.
 	t.Run("incrementalSelectorKernel", func(t *testing.T) {
 		if !haveAVX2() {
 			t.Skip("no AVX2 on this host")
 		}
-		db := randomDatabase(t, 11, 6*kernelMinMean)
-		cur := randomAllocation(t, db, 6, 7)
+		k := passMinK
+		db := randomDatabase(t, 11, k*kernelMinMean)
+		cur := randomAllocation(t, db, k, 7)
 		agg := cur.Aggregates()
 		sel := newIncrementalSelector(cur, agg)
-		if sel.arr == nil {
-			t.Fatalf("N=%d over K=6 built no member arrays", db.Len())
+		if sel.arr == nil || !sel.passKernel {
+			t.Fatalf("N=%d over K=%d: member arrays %v, pass scan %v; want both", db.Len(), k, sel.arr != nil, sel.passKernel)
 		}
 		alloctest.MustZeroAllocs(t, "incrementalSelector.applied (kernel)", 2, pingPong(cur, agg, sel))
 		alloctest.MustZeroAllocs(t, "memberArrays.layout", 2, func() {

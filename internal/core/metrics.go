@@ -22,6 +22,8 @@ var (
 		"CDS move-selection sweeps (one per iteration, both strategies)")
 	cdsCandidatesRecomputed = obs.Default().Counter("core_cds_candidates_recomputed_total",
 		"Eq. 4 evaluations of the incremental CDS strategy's exact cell scans: every item toward every other group at table build, then one per member of each refreshed cell's source group")
+	cdsPassCells = obs.Default().Counter("core_cds_pass_cells_total",
+		"pair-table cells the incremental CDS strategy's per-move pass hands to its fresh/stale test: those reaching the running best")
 )
 
 // timeNow is stubbed in tests.

@@ -62,20 +62,23 @@ type entry struct {
 
 // radix is Stable's large-input path: one counting pass builds all
 // eight byte histograms, then each byte, least significant first,
-// scatters the entries in input order into its buckets — a stable pass,
+// scatters the values in input order into its buckets — a stable pass,
 // so the passes compose into a stable sort. A byte every key shares
-// would scatter the entries onto themselves, so its pass is skipped.
+// would scatter the values onto themselves, so its pass is skipped.
+// The passes ping-pong between two layouts: vals beside a key array,
+// and one array of (key, value) pairs. That is 24 bytes of scratch per
+// value, where two pair arrays would take 32.
 func radix(vals []int, key func(int) uint64) {
 	n := len(vals)
 	if n < 2 {
 		return
 	}
-	buf := make([]entry, 2*n)
-	src, dst := buf[:n], buf[n:]
+	keys := make([]uint64, n)
+	var pairs []entry
 	var count [8][256]int
 	for i, v := range vals {
 		k := key(v)
-		src[i] = entry{k, v}
+		keys[i] = k
 		count[0][byte(k)]++
 		count[1][byte(k>>8)]++
 		count[2][byte(k>>16)]++
@@ -85,10 +88,12 @@ func radix(vals []int, key func(int) uint64) {
 		count[6][byte(k>>48)]++
 		count[7][byte(k>>56)]++
 	}
+	first := keys[0]
+	inPairs := false
 	for b := range count {
 		c := &count[b]
 		shift := 8 * uint(b)
-		if c[byte(src[0].key>>shift)] == n {
+		if c[byte(first>>shift)] == n {
 			continue
 		}
 		// c[d] becomes the first slot of digit d's bucket.
@@ -96,14 +101,29 @@ func radix(vals []int, key func(int) uint64) {
 		for d, m := range c {
 			c[d], sum = sum, sum+m
 		}
-		for _, e := range src {
-			d := byte(e.key >> shift)
-			dst[c[d]] = e
-			c[d]++
+		if inPairs {
+			for _, e := range pairs {
+				d := byte(e.key >> shift)
+				j := c[d]
+				keys[j], vals[j] = e.key, e.val
+				c[d] = j + 1
+			}
+		} else {
+			if pairs == nil {
+				pairs = make([]entry, n)
+			}
+			vals := vals[:len(keys)]
+			for i, k := range keys {
+				d := byte(k >> shift)
+				pairs[c[d]] = entry{k, vals[i]}
+				c[d]++
+			}
 		}
-		src, dst = dst, src
+		inPairs = !inPairs
 	}
-	for i, e := range src {
-		vals[i] = e.val
+	if inPairs {
+		for i, e := range pairs {
+			vals[i] = e.val
+		}
 	}
 }
