@@ -78,11 +78,13 @@ FORCE:
 
 # bench runs the tracked benchmark families through cmd/bcastbench and
 # writes the machine-readable report the PR trajectory is recorded in.
-# BENCH_OUT/BENCH_FLAGS override the artifact path and runner flags
-# (CI uses BENCH_FLAGS="-quick").
-BENCH_OUT ?= BENCH_22.json
+# BENCH_OUT names the new artifact and is required, so a plain
+# `make bench` cannot overwrite a committed one:
+#   make bench BENCH_OUT=BENCH_<pr>.json
+# BENCH_FLAGS passes runner flags (e.g. BENCH_FLAGS="-quick").
 BENCH_FLAGS ?=
 bench:
+	@test -n "$(BENCH_OUT)" || { echo 'make bench: set BENCH_OUT=<file>.json (the report path)' >&2; exit 1; }
 	$(GO) run ./cmd/bcastbench -out $(BENCH_OUT) $(BENCH_FLAGS)
 
 # microbench is the raw go-test benchmark harness (every family,

@@ -30,7 +30,7 @@ func benchAllocators(seed int64) []core.Allocator {
 		baseline.NewVFK(),
 		core.NewDRP(),
 		core.NewDRPCDS(),
-		&gopt.GOPT{PopulationSize: 120, Generations: 600, Stagnation: 80, Polish: true, Seed: seed},
+		gopt.NewReference(seed),
 	}
 }
 
@@ -133,7 +133,8 @@ func BenchmarkFigure6(b *testing.B) {
 			benchAllocate(b, core.NewDRPCDS(), db, k)
 		})
 		b.Run(fmt.Sprintf("K=%d/GOPT", k), func(b *testing.B) {
-			g := &gopt.GOPT{PopulationSize: 120, Generations: 600, Stagnation: 80, Polish: true, Seed: 11, Workers: 1}
+			g := gopt.NewReference(11)
+			g.Workers = 1
 			benchAllocate(b, g, db, k)
 		})
 	}
@@ -149,7 +150,8 @@ func BenchmarkFigure7(b *testing.B) {
 			benchAllocate(b, core.NewDRPCDS(), db, 6)
 		})
 		b.Run(fmt.Sprintf("N=%d/GOPT", n), func(b *testing.B) {
-			g := &gopt.GOPT{PopulationSize: 120, Generations: 600, Stagnation: 80, Polish: true, Seed: 11, Workers: 1}
+			g := gopt.NewReference(11)
+			g.Workers = 1
 			benchAllocate(b, g, db, 6)
 		})
 	}

@@ -2,9 +2,11 @@
 // and writes a machine-readable JSON report (BENCH_<pr>.json) so the
 // performance trajectory is recorded alongside the code it measures.
 //
-// The families mirror the go-test benchmarks (same names, same
-// configurations) but run through testing.Benchmark so a single
-// command produces one self-describing artifact:
+// The families run through testing.Benchmark so a single command
+// produces one self-describing artifact. The paper's worked example and
+// its Figures 2–7 are go-test benchmarks in the root package's
+// bench_test.go, and CDS trace identity is a core test; neither is
+// repeated here.
 //
 //   - CDSScale: the production-scale CDS grid comparing the naive
 //     full rescan against the default lazy-bound pair table (N up
@@ -13,17 +15,6 @@
 //     engine: N=10^5/K=256, and N=10^6/K=1024 pinned to one
 //     iteration. Every CDS result carries the engine's strategy and
 //     the GOMAXPROCS it ran under.
-//   - CDSIdentity: the bit-identity gate — full refinements (no move
-//     bound) with the naive oracle and with the default engine, at
-//     N=2000 and K∈{8,64} from DRP and random starts, plus the
-//     paper's worked example, must produce identical move traces down
-//     to the float bits. A mismatch fails the run (nonzero exit), so
-//     CI enforces the trace contract, not just the tests.
-//   - Tables2to4: the paper's worked example (DRP + CDS, cost 22.29).
-//   - Figure6/Figure7: the execution-time comparisons over K and N
-//     with GOPT pinned to Workers: 1 — timing figures measure
-//     algorithmic cost, so the parallel evaluation fabric must not
-//     fold wall-clock by the benchmark machine's core count.
 //   - TraceOverhead: the cost of the diversetrace probes on the CDS
 //     hot path, disabled and enabled, plus a microbenchmark pricing
 //     one disabled probe. The disabled path is gated at 2%: if the
@@ -44,11 +35,13 @@
 //     an analytically derived overhead percentage gated at 2% for
 //     both the enabled and the disabled configuration.
 //
+// The report goes to stdout unless -out names a file, so a plain run
+// never overwrites a committed artifact.
+//
 // Examples:
 //
-//	bcastbench -out BENCH_22.json
+//	bcastbench -out BENCH_<pr>.json
 //	bcastbench -quick -benchtime 1x            # CI: smallest honest signal
-//	bcastbench -quick -family cdsidentity      # CI: the bit-identity gate
 //	bcastbench -quick -family telemetry       # CI: the costmon overhead gate
 package main
 
@@ -58,7 +51,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -67,7 +59,6 @@ import (
 	"time"
 
 	"diversecast/internal/core"
-	"diversecast/internal/gopt"
 	"diversecast/internal/obs/trace"
 	"diversecast/internal/workload"
 )
@@ -145,10 +136,10 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("bcastbench", flag.ContinueOnError)
 	fs.SetOutput(out)
-	outPath := fs.String("out", "BENCH_22.json", "report path ('-' for stdout)")
-	quick := fs.Bool("quick", false, "reduced grid: skip the large-N cells and the GOPT timing columns")
+	outPath := fs.String("out", "-", "report path ('-' for stdout)")
+	quick := fs.Bool("quick", false, "reduced grid: skip the large-N cells")
 	benchTime := fs.String("benchtime", "", "per-benchmark time or iteration budget (default 3x, 1x with -quick)")
-	family := fs.String("family", "", "run only one family: cds, cdsidentity, tables, figures, trace, fanout or telemetry (empty = all)")
+	family := fs.String("family", "", "run only one family: cds, trace, fanout or telemetry (empty = all)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -182,27 +173,12 @@ func run(args []string, out io.Writer) error {
 
 	want := func(name string) bool { return *family == "" || *family == name }
 	switch *family {
-	case "", "cds", "cdsidentity", "tables", "figures", "trace", "fanout", "telemetry":
+	case "", "cds", "trace", "fanout", "telemetry":
 	default:
-		return fmt.Errorf("unknown family %q (want cds, cdsidentity, tables, figures, trace, fanout or telemetry)", *family)
+		return fmt.Errorf("unknown family %q (want cds, trace, fanout or telemetry)", *family)
 	}
 	if want("cds") {
 		if err := cdsScale(rep, *quick, bt); err != nil {
-			return err
-		}
-	}
-	if want("cdsidentity") {
-		if err := cdsIdentity(rep); err != nil {
-			return err
-		}
-	}
-	if want("tables") {
-		if err := tables2to4(rep); err != nil {
-			return err
-		}
-	}
-	if want("figures") {
-		if err := figureTimings(rep, *quick); err != nil {
 			return err
 		}
 	}
@@ -267,7 +243,7 @@ func run(args []string, out io.Writer) error {
 	// The telemetry overheads are analytic bounds (probe costs measured
 	// over thousand-iteration batches against the cell's per-delivery
 	// cost), robust even at -quick iteration counts, so they gate every
-	// run like the bit-identity and parity checks.
+	// run like the parity checks.
 	if pct, ok := rep.Derived["telemetry_overhead_enabled_pct"]; ok && pct > 2 {
 		return fmt.Errorf("enabled cost-telemetry overhead %.3f%% exceeds the 2%% budget: the steady-state probe must stay a nil check and a bool load per batch", pct)
 	}
@@ -413,199 +389,6 @@ func cdsScale(rep *report, quick bool, bt string) error {
 		}
 		name := fmt.Sprintf("CDSScale/N=%d/K=%d/incremental", hugeN, hugeK)
 		if _, err := benchCDS(rep, name, &core.CDS{MaxMoves: hugeMoves}, a); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// sameMoves reports whether two move traces are bit-for-bit identical:
-// same length, and every move agrees on position, groups and the exact
-// float bits of its Δc and cost chain.
-func sameMoves(a, b []core.Move) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		x, y := a[i], b[i]
-		if x.Pos != y.Pos || x.From != y.From || x.To != y.To ||
-			math.Float64bits(x.Reduction) != math.Float64bits(y.Reduction) ||
-			math.Float64bits(x.CostBefore) != math.Float64bits(y.CostBefore) ||
-			math.Float64bits(x.CostAfter) != math.Float64bits(y.CostAfter) {
-			return false
-		}
-	}
-	return true
-}
-
-// cdsIdentity is the bit-identity gate: full refinements (no move
-// bound) with the naive oracle and with the default engine must
-// produce the same move trace down to the float bits, at N=2000 with
-// K=8 and K=64 from DRP and from random starts, on three databases
-// (identityDatabases), and on the paper's worked example. Any
-// divergence returns an error before the report is written, failing
-// the run. The derived cds_identity_moves/<case> values record how
-// many moves each compared trace holds.
-func cdsIdentity(rep *report) error {
-	type gateCase struct {
-		name  string
-		start *core.Allocation
-	}
-	var cases []gateCase
-	const n = 2000
-	for _, d := range identityDatabases(n) {
-		for _, k := range []int{8, 64} {
-			drp, err := core.NewDRP().Allocate(d.db, k)
-			if err != nil {
-				return err
-			}
-			random, err := randomAllocation(d.db, k, 7)
-			if err != nil {
-				return err
-			}
-			cases = append(cases,
-				gateCase{fmt.Sprintf("%sN=%d/K=%d/drp", d.prefix, n, k), drp},
-				gateCase{fmt.Sprintf("%sN=%d/K=%d/random", d.prefix, n, k), random})
-		}
-	}
-	paper, err := core.NewDRPExampleConsistent().Allocate(core.PaperExampleDatabase(), core.PaperExampleK)
-	if err != nil {
-		return err
-	}
-	cases = append(cases, gateCase{"paper", paper})
-
-	for _, c := range cases {
-		_, naive, err := (&core.CDS{Strategy: core.StrategyNaive}).RefineWithTrace(c.start)
-		if err != nil {
-			return err
-		}
-		_, incr, err := core.NewCDS().RefineWithTrace(c.start)
-		if err != nil {
-			return err
-		}
-		if !sameMoves(naive, incr) {
-			return fmt.Errorf("bit-identity gate: %s: the default engine's trace diverges from naive's (%d vs %d moves)", c.name, len(incr), len(naive))
-		}
-		fmt.Fprintf(os.Stderr, "%-48s %12d moves identical\n", "CDSIdentity/"+c.name, len(naive))
-		rep.Derived["cds_identity_moves/"+c.name] = float64(len(naive))
-	}
-	return nil
-}
-
-// identityDB is one of the bit-identity gate's databases with the
-// prefix of its case names.
-type identityDB struct {
-	prefix string
-	db     *core.Database
-}
-
-// identityDatabases returns the bit-identity gate's n-item databases:
-//   - "": the Table 5 catalog (θ=0.8, Φ=2, seed 1);
-//   - "ties/": every item takes frequency 1 or 2 and size 1 or 3, so
-//     aggregates and Δc are exact small numbers and equal Δc are
-//     common, which exercises the pick's tie-break and the stale cells
-//     whose bound equals the best;
-//   - "extreme/": frequencies log-uniform over nine decades and sizes
-//     over six, so Eq. 4's terms differ by up to fifteen orders of
-//     magnitude, which exercises the stale bounds' rounding slack.
-func identityDatabases(n int) []identityDB {
-	rng := rand.New(rand.NewSource(1))
-	ties := make([]core.Item, n)
-	extreme := make([]core.Item, n)
-	for i := range ties {
-		ties[i] = core.Item{ID: i + 1, Freq: float64(1 + rng.Intn(2)), Size: float64(1 + 2*rng.Intn(2))}
-		extreme[i] = core.Item{ID: i + 1, Freq: math.Pow(10, -9*rng.Float64()), Size: math.Pow(10, 6*rng.Float64())}
-	}
-	return []identityDB{
-		{"", workload.Config{N: n, Theta: 0.8, Phi: 2, Seed: 1}.MustGenerate()},
-		{"ties/", core.MustNewDatabase(ties)},
-		{"extreme/", core.MustNewDatabase(extreme)},
-	}
-}
-
-// tables2to4 reproduces the paper's worked example end to end and
-// reports the refined cost (the paper's 22.29).
-func tables2to4(rep *report) error {
-	db := core.PaperExampleDatabase()
-	var benchErr error
-	br := testing.Benchmark(func(b *testing.B) {
-		var cost float64
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			a, err := core.NewDRPExampleConsistent().Allocate(db, core.PaperExampleK)
-			if err != nil {
-				benchErr = err
-				b.Fatal(err)
-			}
-			refined, err := core.NewCDS().Refine(a)
-			if err != nil {
-				benchErr = err
-				b.Fatal(err)
-			}
-			cost = core.Cost(refined)
-		}
-		b.ReportMetric(cost, "cost")
-	})
-	if benchErr != nil {
-		return benchErr
-	}
-	rep.record("Tables2to4", br)
-	return nil
-}
-
-// timeAllocator benchmarks one allocator on db/k, reporting the
-// resulting waiting time as Wb_s exactly like the go-test harness.
-func timeAllocator(rep *report, name string, alg core.Allocator, db *core.Database, k int) error {
-	var benchErr error
-	br := testing.Benchmark(func(b *testing.B) {
-		var wb float64
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			a, err := alg.Allocate(db, k)
-			if err != nil {
-				benchErr = err
-				b.Fatal(err)
-			}
-			wb = core.WaitingTime(a, workload.PaperBandwidth)
-		}
-		b.ReportMetric(wb, "Wb_s")
-	})
-	if benchErr != nil {
-		return benchErr
-	}
-	rep.record(name, br)
-	return nil
-}
-
-// figureTimings runs the paper's execution-time comparisons
-// (Figures 6 and 7). GOPT is serial (Workers: 1) for comparability
-// and skipped entirely under -quick: at 600 generations it dwarfs the
-// rest of the run without informing the CDS trajectory.
-func figureTimings(rep *report, quick bool) error {
-	serialGOPT := func() core.Allocator {
-		return &gopt.GOPT{PopulationSize: 120, Generations: 600, Stagnation: 80, Polish: true, Seed: 11, Workers: 1}
-	}
-	fig6DB := workload.PaperDefaults(11).MustGenerate()
-	for _, k := range []int{4, 6, 8, 10} {
-		if err := timeAllocator(rep, fmt.Sprintf("Figure6/K=%d/DRP-CDS", k), core.NewDRPCDS(), fig6DB, k); err != nil {
-			return err
-		}
-		if quick {
-			continue
-		}
-		if err := timeAllocator(rep, fmt.Sprintf("Figure6/K=%d/GOPT", k), serialGOPT(), fig6DB, k); err != nil {
-			return err
-		}
-	}
-	for _, n := range []int{60, 120, 180} {
-		db := workload.Config{N: n, Theta: 0.8, Phi: 2, Seed: 11}.MustGenerate()
-		if err := timeAllocator(rep, fmt.Sprintf("Figure7/N=%d/DRP-CDS", n), core.NewDRPCDS(), db, 6); err != nil {
-			return err
-		}
-		if quick {
-			continue
-		}
-		if err := timeAllocator(rep, fmt.Sprintf("Figure7/N=%d/GOPT", n), serialGOPT(), db, 6); err != nil {
 			return err
 		}
 	}

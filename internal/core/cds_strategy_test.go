@@ -4,8 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+
+	"diversecast/internal/alloctest"
+	"diversecast/internal/pool"
 )
 
 // This file pins the CDS move-selection engines to each other: the
@@ -79,6 +83,14 @@ func assertIdenticalTraces(t *testing.T, a *Allocation, maxMoves int) {
 	if err != nil {
 		t.Fatalf("naive: %v", err)
 	}
+	assertMatchesNaive(t, a, maxMoves, refN, movesN)
+}
+
+// assertMatchesNaive refines a with the incremental default and fails
+// the test on the first bit-level difference from the naive oracle's
+// refinement refN and its trace movesN.
+func assertMatchesNaive(t *testing.T, a *Allocation, maxMoves int, refN *Allocation, movesN []Move) {
+	t.Helper()
 	eng := &CDS{MaxMoves: maxMoves}
 	refE, movesE, err := eng.RefineWithTrace(a)
 	if err != nil {
@@ -93,10 +105,11 @@ func assertIdenticalTraces(t *testing.T, a *Allocation, maxMoves int) {
 			t.Fatalf("move %d differs: naive %+v, %v %+v", i, n, eng.Strategy, e)
 		}
 		// Bit-exact: Δc and both costs must be the very same float64s.
-		if n.Reduction != e.Reduction {
+		if math.Float64bits(n.Reduction) != math.Float64bits(e.Reduction) {
 			t.Fatalf("move %d Reduction bits differ: naive %b, %v %b", i, n.Reduction, eng.Strategy, e.Reduction)
 		}
-		if n.CostBefore != e.CostBefore || n.CostAfter != e.CostAfter {
+		if math.Float64bits(n.CostBefore) != math.Float64bits(e.CostBefore) ||
+			math.Float64bits(n.CostAfter) != math.Float64bits(e.CostAfter) {
 			t.Fatalf("move %d cost bits differ: naive %+v, %v %+v", i, n, eng.Strategy, e)
 		}
 	}
@@ -183,6 +196,70 @@ func TestCDSStrategiesIdenticalOnTies(t *testing.T) {
 			assertIdenticalTraces(t, randomAllocation(t, db, k, seed+1000), 0)
 		}
 	})
+}
+
+// TestCDSFullRefinementsMatchNaive holds the default engine to the
+// naive oracle's full refinements (no move bound), bit for bit, at a
+// size where refinements run thousands of moves and the pass scan and
+// member scan both engage: N=2000 with K=8 and K=64, from DRP and
+// random starts, on a Table 5 shaped database (θ=0.8, Φ=2), a
+// tie-heavy and an extreme-magnitude one, plus the paper's worked
+// example. The naive trace is computed once per case and the default
+// engine runs under both kernels. The oracle's O(N·K) scans make this
+// too slow for the race detector, which the smaller differential tests
+// above already cover.
+func TestCDSFullRefinementsMatchNaive(t *testing.T) {
+	if alloctest.RaceEnabled() {
+		t.Skip("full N=2000 naive refinements are too slow under the race detector")
+	}
+	type gateCase struct {
+		name  string
+		start *Allocation
+	}
+	var cases []gateCase
+	const n = 2000
+	for _, d := range []struct {
+		name string
+		db   *Database
+	}{
+		{"table5", diverseDatabase(t, 1, n, 0.8, 2)},
+		{"ties", tieDatabase(t, 1, n)},
+		{"extreme", extremeDatabase(t, 1, n)},
+	} {
+		for _, k := range []int{8, 64} {
+			drp, err := NewDRP().Allocate(d.db, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cases = append(cases,
+				gateCase{fmt.Sprintf("%s/K=%d/drp", d.name, k), drp},
+				gateCase{fmt.Sprintf("%s/K=%d/random", d.name, k), randomAllocation(t, d.db, k, 7)})
+		}
+	}
+	paper, err := NewDRPExampleConsistent().Allocate(PaperExampleDatabase(), PaperExampleK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, gateCase{"paper", paper})
+
+	// The naive refinements run first, spread over the cores: no
+	// kernel setting changes while they run.
+	refs := make([]*Allocation, len(cases))
+	traces := make([][]Move, len(cases))
+	errs := make([]error, len(cases))
+	pool.Run(runtime.GOMAXPROCS(0), len(cases), func(i int) {
+		refs[i], traces[i], errs[i] = (&CDS{Strategy: StrategyNaive}).RefineWithTrace(cases[i].start)
+	})
+	for i, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if errs[i] != nil {
+				t.Fatalf("naive: %v", errs[i])
+			}
+			withKernel(t, func(t *testing.T) {
+				assertMatchesNaive(t, c.start, 0, refs[i], traces[i])
+			})
+		})
+	}
 }
 
 // checkSelectorTable cross-checks the lazy-bound table against a fresh

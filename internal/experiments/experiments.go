@@ -39,7 +39,6 @@ type Config struct {
 	GOPTPopulation  int
 	GOPTGenerations int
 	GOPTStagnation  int
-	GOPTPolish      bool
 	// Workers bounds the sweep worker pool for the quality figures
 	// (2–5): the (x-point × seed) grid is embarrassingly parallel and
 	// every cell is folded back in deterministic (x, seed) order, so
@@ -64,7 +63,6 @@ func Default() Config {
 		GOPTPopulation:  120,
 		GOPTGenerations: 600,
 		GOPTStagnation:  80,
-		GOPTPolish:      true,
 	}
 }
 
@@ -80,7 +78,6 @@ func Quick() Config {
 		GOPTPopulation:  40,
 		GOPTGenerations: 150,
 		GOPTStagnation:  40,
-		GOPTPolish:      true,
 	}
 }
 
@@ -120,7 +117,6 @@ func (c Config) allocators(seed int64, gaWorkers int) map[string]core.Allocator 
 			PopulationSize: c.GOPTPopulation,
 			Generations:    c.GOPTGenerations,
 			Stagnation:     c.GOPTStagnation,
-			Polish:         c.GOPTPolish,
 			Seed:           seed,
 			Workers:        gaWorkers,
 		},

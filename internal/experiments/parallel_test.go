@@ -21,7 +21,6 @@ func tinyConfig() Config {
 		GOPTPopulation:  12,
 		GOPTGenerations: 20,
 		GOPTStagnation:  10,
-		GOPTPolish:      true,
 	}
 }
 

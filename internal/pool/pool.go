@@ -1,5 +1,5 @@
 // Package pool provides the bounded by-index worker pool behind every
-// deterministic parallel fabric in this repository: genetic fitness
+// deterministic parallel fabric in this repository: GOPT fitness
 // evaluation and experiment sweep cells. The contract that makes
 // parallelism safe to put under bit-exact algorithms is the same
 // everywhere:
