@@ -158,6 +158,24 @@ func assertSameResult(t *testing.T, a, b *result, label string) {
 	}
 }
 
+// TestEvolveDeterministicForSeed runs the GA loop twice with one seed
+// on a 4-letter alphabet and expects the same result bit for bit.
+func TestEvolveDeterministicForSeed(t *testing.T) {
+	cfg := GOPT{Generations: 50, Seed: 42}
+	a, err := cfg.evolve(20, 4, oneMax)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := cfg.evolve(20, 4, oneMax)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oneMax(a.best) != oneMax(b.best) {
+		t.Fatal("identically-seeded runs reached different fitness")
+	}
+	assertSameResult(t, a, b, "identically-seeded runs")
+}
+
 // TestDeterministicAcrossWorkers is the fabric's contract: the same
 // seed yields an identical result whether fitness evaluation runs
 // serially, on NumCPU workers, or anywhere in between.
