@@ -204,8 +204,8 @@ func BenchmarkAblationContiguity(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulators compares the closed-form replay against the
-// event-driven engine on the same trace.
+// BenchmarkSimulators measures the closed-form air replay on a
+// 2,000-request trace.
 func BenchmarkSimulators(b *testing.B) {
 	db := workload.Config{N: 60, Theta: 0.8, Phi: 1.5, Seed: 23}.MustGenerate()
 	a, err := core.NewDRPCDS().Allocate(db, 5)
@@ -224,14 +224,6 @@ func BenchmarkSimulators(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := airsim.Measure(p, trace); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("event-driven", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := airsim.EventDriven(p, trace); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -42,7 +42,7 @@
 //
 //	bcastbench -out BENCH_<pr>.json
 //	bcastbench -quick -benchtime 1x            # CI: smallest honest signal
-//	bcastbench -quick -family telemetry       # CI: the costmon overhead gate
+//	bcastbench -quick -family telemetry       # the costmon overhead gate alone
 package main
 
 import (

@@ -6,7 +6,7 @@
 //
 //	bcastsim -n 120 -k 6 -alg drp-cds -requests 50000
 //	bcastsim -catalog traffic-info -k 5 -alg vfk -hist
-//	bcastsim -paper -k 5 -event-driven
+//	bcastsim -paper -k 5 -cache-policy lru -cache-capacity 20
 package main
 
 import (
@@ -16,6 +16,7 @@ import (
 	"math"
 	"os"
 	"slices"
+	"strings"
 	"time"
 
 	"diversecast/internal/airsim"
@@ -49,7 +50,6 @@ func run(args []string, out io.Writer) error {
 	requests := fs.Int("requests", 20000, "number of simulated client requests")
 	rate := fs.Float64("rate", 50, "aggregate request arrival rate (requests/second)")
 	traceSeed := fs.Int64("trace-seed", 7, "request-trace random seed")
-	eventDriven := fs.Bool("event-driven", false, "use the discrete-event engine instead of the closed form")
 	hist := fs.Bool("hist", false, "print a waiting-time histogram")
 	mode := fs.String("mode", "push", "dissemination mode: push, pull or hybrid")
 	scheduler := fs.String("scheduler", "rxw", "pull scheduler: fcfs, mrf, rxw or rxws")
@@ -134,19 +134,13 @@ func run(args []string, out io.Writer) error {
 		return runCached(out, a, p, trace, *cachePolicy, *cacheCapacity, *bandwidth)
 	}
 
-	measure := airsim.Measure
-	simKind := "closed-form"
-	if *eventDriven {
-		measure = airsim.EventDriven
-		simKind = "event-driven"
-	}
-	res, err := measure(p, trace)
+	res, err := airsim.Measure(p, trace)
 	if err != nil {
 		return err
 	}
 
 	analytic := core.WaitingTime(a, *bandwidth)
-	fmt.Fprintf(out, "algorithm:        %s (%s simulation)\n", allocator.Name(), simKind)
+	fmt.Fprintf(out, "algorithm:        %s (closed-form simulation)\n", allocator.Name())
 	fmt.Fprintf(out, "requests:         %d at %.3g req/s\n", res.Requests, *rate)
 	fmt.Fprintf(out, "analytical W_b:   %.4f s\n", analytic)
 	fmt.Fprintf(out, "measured wait:    %s\n", res.Wait)
@@ -162,19 +156,17 @@ func run(args []string, out io.Writer) error {
 		if upper <= 0 {
 			upper = 1
 		}
-		h, err := stats.NewHistogram(0, upper, 20)
-		if err != nil {
-			return err
-		}
+		// A private registry keeps the histogram out of -stats.
+		h := obs.NewRegistry().Histogram("wait_seconds", "per-request waiting time", 0, upper, 20)
 		for _, req := range trace {
 			w, err := p.WaitFor(req.Pos, req.Time)
 			if err != nil {
 				return err
 			}
-			h.Add(w)
+			h.Observe(w)
 		}
 		fmt.Fprintf(out, "waiting-time histogram (p50=%.3f, p95=%.3f):\n%s",
-			h.Quantile(0.5), h.Quantile(0.95), h.Render(40))
+			h.Quantile(0.5), h.Quantile(0.95), renderHistogram(h.Snapshot(), 40))
 	}
 
 	if math.Abs(stats.RelativeError(res.Wait.Mean, analytic)) > 0.05 {
@@ -187,12 +179,35 @@ func run(args []string, out io.Writer) error {
 // that read it. "cached push" is push mode with -cache-policy set.
 var modeFlags = map[string][]string{
 	"alg":            {"push", "cached push"},
-	"event-driven":   {"push"},
 	"hist":           {"push"},
 	"cache-policy":   {"push", "cached push"},
 	"cache-capacity": {"cached push"},
 	"scheduler":      {"pull", "hybrid"},
 	"push-count":     {"hybrid"},
+}
+
+// renderHistogram draws s as an ASCII bar chart, one row per bin with
+// bars scaled to at most width characters, then any underflow and
+// overflow counts.
+func renderHistogram(s obs.HistogramSnapshot, width int) string {
+	var maxCount int64 = 1
+	for _, c := range s.Bins {
+		maxCount = max(maxCount, c)
+	}
+	binSize := (s.Hi - s.Lo) / float64(len(s.Bins))
+	var b strings.Builder
+	for i, c := range s.Bins {
+		lo := s.Lo + float64(i)*binSize
+		bar := strings.Repeat("#", int(c*int64(width)/maxCount))
+		fmt.Fprintf(&b, "%10.3f..%-10.3f %6d %s\n", lo, lo+binSize, c, bar)
+	}
+	if s.Under > 0 {
+		fmt.Fprintf(&b, "%22s %6d\n", "<underflow>", s.Under)
+	}
+	if s.Over > 0 {
+		fmt.Fprintf(&b, "%22s %6d\n", "<overflow>", s.Over)
+	}
+	return b.String()
 }
 
 // rejectIgnoredFlags fails on the first explicitly set flag that mode

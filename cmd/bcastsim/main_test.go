@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"diversecast/internal/obs"
 	"diversecast/internal/obs/trace"
 )
 
@@ -40,28 +41,43 @@ func TestRunClosedForm(t *testing.T) {
 	}
 }
 
-func TestRunEventDriven(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{"-n", "20", "-k", "3", "-requests", "500", "-event-driven"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "event-driven simulation") {
-		t.Errorf("mode line missing:\n%s", out.String())
-	}
-}
-
+// TestRunHistogram pins the -hist block of a paper-default run — the
+// p50/p95 line and every bin row — to a golden file, so any change in
+// binning, quantiles or layout fails.
 func TestRunHistogram(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{"-paper", "-k", "5", "-requests", "3000", "-hist"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "waiting-time histogram") {
-		t.Errorf("histogram missing:\n%s", out.String())
+	want, err := os.ReadFile(filepath.Join("testdata", "hist_paper_k5.golden"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "p95=") {
-		t.Errorf("quantiles missing:\n%s", out.String())
+	s := out.String()
+	i := strings.Index(s, "waiting-time histogram")
+	if i < 0 {
+		t.Fatalf("histogram missing:\n%s", s)
+	}
+	lines := strings.SplitAfter(s[i:], "\n")
+	if n := strings.Count(string(want), "\n"); len(lines) < n || strings.Join(lines[:n], "") != string(want) {
+		t.Errorf("histogram block differs from testdata/hist_paper_k5.golden:\ngot:\n%s\nwant:\n%s", s[i:], want)
+	}
+}
+
+// TestRenderHistogram: bars scale to the fullest bin, and underflow
+// and overflow get their own rows.
+func TestRenderHistogram(t *testing.T) {
+	h := obs.NewRegistry().Histogram("h", "", 0, 4, 2)
+	for _, x := range []float64{1, 1.5, 3, -5, 99} {
+		h.Observe(x)
+	}
+	want := "     0.000..2.000           2 ##########\n" +
+		"     2.000..4.000           1 #####\n" +
+		"           <underflow>      1\n" +
+		"            <overflow>      1\n"
+	if got := renderHistogram(h.Snapshot(), 10); got != want {
+		t.Fatalf("render:\n%q\nwant:\n%q", got, want)
 	}
 }
 
@@ -175,13 +191,11 @@ func TestRunRejectsIgnoredFlags(t *testing.T) {
 		{[]string{"-mode", "pull", "-cache-policy", "lru"}, "-cache-policy"},
 		{[]string{"-mode", "pull", "-alg", "vfk"}, "-alg"},
 		{[]string{"-mode", "pull", "-push-count", "5"}, "-push-count"},
-		{[]string{"-mode", "hybrid", "-event-driven"}, "-event-driven"},
 		{[]string{"-mode", "hybrid", "-cache-capacity", "10"}, "-cache-capacity"},
 		{[]string{"-push-count", "5"}, "-push-count"},
 		{[]string{"-scheduler", "mrf"}, "-scheduler"},
 		{[]string{"-cache-capacity", "10"}, "-cache-capacity"},
 		{[]string{"-cache-policy", "lru", "-cache-capacity", "10", "-hist"}, "-hist"},
-		{[]string{"-cache-policy", "lru", "-cache-capacity", "10", "-event-driven"}, "-event-driven"},
 	}
 	for _, tc := range tests {
 		var out bytes.Buffer
@@ -195,7 +209,7 @@ func TestRunRejectsIgnoredFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-mode", "hybrid", "-push-count", "8", "-scheduler", "mrf"},
 		{"-mode", "pull", "-scheduler", "fcfs"},
-		{"-alg", "vfk", "-hist", "-event-driven", "-cache-policy", ""},
+		{"-alg", "vfk", "-hist", "-cache-policy", ""},
 		{"-alg", "vfk", "-cache-policy", "lru", "-cache-capacity", "10"},
 	} {
 		var out bytes.Buffer

@@ -9,8 +9,8 @@
 // client waiting time is minimized, using the paper's DRP (Dimension
 // Reduction Partitioning) heuristic refined by CDS (Cost-Diminishing
 // Selection), and provides everything around the algorithm a user
-// needs: workload generation, broadcast-program compilation, a
-// discrete-event air simulator, a real TCP broadcast server/client
+// needs: workload generation, broadcast-program compilation, an air
+// simulator measuring client waits, a real TCP broadcast server/client
 // pair, baselines (VF^K, a genetic optimizer, exact search) and the
 // harness regenerating every figure of the paper's evaluation.
 //
@@ -171,12 +171,6 @@ type SimResult = airsim.Result
 // empirical probe, download and total waiting times.
 func Simulate(p *Program, trace []Request) (*SimResult, error) {
 	return airsim.Measure(p, trace)
-}
-
-// SimulateEventDriven measures the same quantities through the
-// discrete-event engine (slower; validates Simulate).
-func SimulateEventDriven(p *Program, trace []Request) (*SimResult, error) {
-	return airsim.EventDriven(p, trace)
 }
 
 // Networked broadcasting.

@@ -288,38 +288,6 @@ func TestPublicOrderedProgramKeepsCycles(t *testing.T) {
 	}
 }
 
-func TestPublicEventDrivenAgreesWithSimulate(t *testing.T) {
-	db, err := diversecast.GenerateWorkload(diversecast.WorkloadConfig{
-		N: 40, Theta: 0.8, Phi: 2, Seed: 6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	alloc, err := diversecast.NewDRPCDS().Allocate(db, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := diversecast.BuildProgram(alloc, diversecast.PaperBandwidth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace, err := diversecast.GenerateTrace(db, diversecast.TraceConfig{Requests: 2000, Rate: 20, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	closed, err := diversecast.Simulate(prog, trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	event, err := diversecast.SimulateEventDriven(prog, trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(closed.Wait.Mean-event.Wait.Mean) > 1e-6 {
-		t.Fatalf("closed-form mean wait %v, event-driven %v", closed.Wait.Mean, event.Wait.Mean)
-	}
-}
-
 func TestPublicReplanOnDrift(t *testing.T) {
 	db, err := diversecast.GenerateWorkload(diversecast.WorkloadConfig{
 		N: 60, Theta: 0.8, Phi: 2, Seed: 8,

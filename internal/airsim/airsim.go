@@ -2,10 +2,9 @@
 // request times drawn from the access distribution, probe their
 // channel until the wanted item's next transmission begins, then
 // download it. It measures the empirical mean waiting time that the
-// paper's Eq. (2) predicts analytically, in two independent ways — a
-// closed-form replay of the cyclic schedule and a discrete-event
-// simulation — which the tests cross-validate against each other and
-// against the analytical model.
+// paper's Eq. (2) predicts analytically by a closed-form replay of the
+// cyclic schedule, which the tests check against a slot-by-slot walk
+// of the program and against the analytical model.
 package airsim
 
 import (
@@ -15,12 +14,11 @@ import (
 	"diversecast/internal/broadcast"
 	"diversecast/internal/obs/costmon"
 	"diversecast/internal/obs/trace"
-	"diversecast/internal/sim"
 	"diversecast/internal/stats"
 	"diversecast/internal/workload"
 )
 
-// Trace span and event names emitted by the simulators. Snake_case
+// Trace span and event names emitted by Measure. Snake_case
 // per the obsnames convention; constants so the analyzer can see them.
 const (
 	spanBroadcastCycle = "broadcast_cycle"
@@ -28,7 +26,7 @@ const (
 	eventClientServed  = "client_served"
 )
 
-// Options carries cross-cutting run configuration for the simulators.
+// Options carries cross-cutting run configuration for MeasureWith.
 type Options struct {
 	// Tracer receives one broadcast_cycle span per channel cycle
 	// (tagged with the channel's F·Z group cost) and one tune-in /
@@ -65,7 +63,7 @@ type Result struct {
 	PerChannel []stats.Summary
 }
 
-// Errors returned by the simulators.
+// Errors returned by Measure.
 var (
 	ErrNilProgram = errors.New("airsim: nil program")
 	ErrEmptyTrace = errors.New("airsim: empty request trace")
@@ -142,8 +140,7 @@ func MeasureWith(p *broadcast.Program, reqs []workload.Request, opts Options) (*
 // horizon] as one span per channel cycle, each tagged with the
 // channel's F·Z group cost and cycle length. The closed form never
 // iterates cycles itself, so the spans are synthesized from the
-// schedule; the event-driven simulator emits the same spans from the
-// cycles it actually executes.
+// schedule.
 func emitCycleSpans(tr *trace.Tracer, p *broadcast.Program, horizon float64) {
 	for c, ch := range p.Channels {
 		if ch.CycleLength <= 0 {
@@ -161,174 +158,4 @@ func emitCycleSpans(tr *trace.Tracer, p *broadcast.Program, horizon float64) {
 			sp.EndAt(virtualNS(start + ch.CycleLength))
 		}
 	}
-}
-
-// EventDriven measures the same quantity by running the broadcast as a
-// discrete-event simulation: channels emit slot-start events
-// cyclically, and waiting clients complete at the end of the first
-// transmission that starts at or after their arrival. Its results must
-// agree with Measure to floating-point accuracy; it exists to validate
-// the closed form against an independent mechanism and to exercise the
-// DES engine under load.
-func EventDriven(p *broadcast.Program, reqs []workload.Request) (*Result, error) {
-	return EventDrivenWith(p, reqs, Options{})
-}
-
-// EventDrivenWith is EventDriven with explicit options (tracing).
-func EventDrivenWith(p *broadcast.Program, reqs []workload.Request, opts Options) (*Result, error) {
-	if p == nil {
-		return nil, ErrNilProgram
-	}
-	if len(reqs) == 0 {
-		return nil, ErrEmptyTrace
-	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("airsim: %w", err)
-	}
-	if !workload.SortedByTime(reqs) {
-		return nil, errors.New("airsim: trace must be sorted by time")
-	}
-	tr := opts.Tracer
-	if tr == nil {
-		tr = trace.Default()
-	}
-	traceOn := tr.Enabled()
-
-	s := sim.New()
-
-	// Waiting clients per item position; served flags per request.
-	type pendingReq struct {
-		index   int
-		arrival float64
-	}
-	waiting := make(map[int][]pendingReq)
-	waits := make([]float64, len(reqs))
-	probes := make([]float64, len(reqs))
-	served := 0
-
-	// Client arrivals.
-	for i, req := range reqs {
-		i, req := i, req
-		if err := s.At(req.Time, func() {
-			waiting[req.Pos] = append(waiting[req.Pos], pendingReq{index: i, arrival: req.Time})
-			if opts.CostMonitor != nil {
-				c, _, _ := p.Locate(req.Pos)
-				opts.CostMonitor.ObserveTuneIn(c, req.Pos)
-			}
-			if traceOn {
-				tr.EventAt(eventClientTuneIn, virtualNS(req.Time),
-					trace.Int("item", int64(req.Pos)))
-			}
-		}); err != nil {
-			return nil, fmt.Errorf("airsim: scheduling arrival %d: %w", i, err)
-		}
-	}
-	lastArrival := reqs[len(reqs)-1].Time
-
-	// Channel broadcasters: each slot-start event serves matching
-	// waiters and schedules the next slot. Channels stop rebroadcasting
-	// once every request has been served and no arrival is pending.
-	var scheduleSlot func(c, idx int, cycleStart float64) error
-	scheduleSlot = func(c, idx int, cycleStart float64) error {
-		ch := p.Channels[c]
-		if len(ch.Slots) == 0 {
-			return nil
-		}
-		slot := ch.Slots[idx]
-		at := cycleStart + slot.Start
-		return s.At(at, func() {
-			// Serve clients that arrived at or before this start.
-			q := waiting[slot.Pos]
-			kept := q[:0]
-			for _, pr := range q {
-				if pr.arrival <= at {
-					probes[pr.index] = at - pr.arrival
-					waits[pr.index] = at + slot.Duration - pr.arrival
-					served++
-					if opts.CostMonitor != nil {
-						opts.CostMonitor.RecordWait(c, at+slot.Duration-pr.arrival)
-					}
-					if traceOn {
-						tr.EventAt(eventClientServed, virtualNS(at+slot.Duration),
-							trace.Int("channel", int64(c)), trace.Int("item", int64(slot.Pos)),
-							trace.Float("probe", at-pr.arrival),
-							trace.Float("wait", at+slot.Duration-pr.arrival))
-					}
-				} else {
-					kept = append(kept, pr)
-				}
-			}
-			waiting[slot.Pos] = kept
-
-			if served == len(reqs) && at >= lastArrival {
-				// All done; let the event queue drain. The final
-				// (partial) cycle still gets its span so the timeline
-				// covers every slot the simulation executed.
-				if traceOn {
-					emitOneCycleSpan(tr, ch, c, cycleStart)
-				}
-				return
-			}
-			nextIdx := idx + 1
-			nextCycle := cycleStart
-			if nextIdx == len(ch.Slots) {
-				nextIdx = 0
-				nextCycle += ch.CycleLength
-				// The cycle that just finished becomes a span stamped
-				// with virtual time, one per executed cycle per channel.
-				if traceOn {
-					emitOneCycleSpan(tr, ch, c, cycleStart)
-				}
-			}
-			if err := scheduleSlot(c, nextIdx, nextCycle); err != nil {
-				// Unreachable: times only move forward.
-				panic(err)
-			}
-		})
-	}
-	for c := range p.Channels {
-		if err := scheduleSlot(c, 0, 0); err != nil {
-			return nil, fmt.Errorf("airsim: scheduling channel %d: %w", c, err)
-		}
-	}
-
-	s.Run(0)
-	if served != len(reqs) {
-		return nil, fmt.Errorf("airsim: simulation ended with %d of %d requests served", served, len(reqs))
-	}
-
-	var wait, probe, download stats.Accumulator
-	perChannel := make([]stats.Accumulator, p.K)
-	for i, req := range reqs {
-		c, _, _ := p.Locate(req.Pos)
-		wait.Add(waits[i])
-		probe.Add(probes[i])
-		download.Add(waits[i] - probes[i])
-		perChannel[c].Add(waits[i])
-	}
-	res := &Result{
-		Requests: len(reqs),
-		Wait:     wait.Summarize(),
-		Probe:    probe.Summarize(),
-		Download: download.Summarize(),
-	}
-	for _, acc := range perChannel {
-		res.PerChannel = append(res.PerChannel, acc.Summarize())
-	}
-	return res, nil
-}
-
-// emitOneCycleSpan records one executed channel cycle as a span over
-// its virtual-time window. The cycle ordinal is recovered from the
-// start offset (cycle starts are exact multiples of the length).
-func emitOneCycleSpan(tr *trace.Tracer, ch broadcast.Channel, c int, cycleStart float64) {
-	cycle := 0
-	if ch.CycleLength > 0 {
-		cycle = int(cycleStart/ch.CycleLength + 0.5)
-	}
-	sp := tr.StartAt(spanBroadcastCycle, virtualNS(cycleStart),
-		trace.Int("channel", int64(c)), trace.Int("cycle", int64(cycle)),
-		trace.Float("group_cost", ch.GroupCost),
-		trace.Float("cycle_length", ch.CycleLength))
-	sp.EndAt(virtualNS(cycleStart + ch.CycleLength))
 }

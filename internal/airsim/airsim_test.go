@@ -43,21 +43,6 @@ func TestMeasureValidation(t *testing.T) {
 	if _, err := Measure(p, nil); err != ErrEmptyTrace {
 		t.Errorf("empty trace: %v", err)
 	}
-	if _, err := EventDriven(nil, trace); err != ErrNilProgram {
-		t.Errorf("nil program (event): %v", err)
-	}
-	if _, err := EventDriven(p, nil); err != ErrEmptyTrace {
-		t.Errorf("empty trace (event): %v", err)
-	}
-}
-
-func TestEventDrivenRejectsUnsortedTrace(t *testing.T) {
-	a, p := fixture(t, 10, 3, 1)
-	trace := makeTrace(t, a, 5, 2)
-	trace[0], trace[1] = trace[1], trace[0]
-	if _, err := EventDriven(p, trace); err == nil {
-		t.Fatal("unsorted trace should fail")
-	}
 }
 
 func TestMeasureBasicInvariants(t *testing.T) {
@@ -87,10 +72,13 @@ func TestMeasureBasicInvariants(t *testing.T) {
 	}
 }
 
-// The central cross-validation: the discrete-event simulation must
-// agree with the closed-form replay request by request (identical
-// summaries), because both execute the same cyclic program.
-func TestEventDrivenMatchesClosedForm(t *testing.T) {
+// The central cross-check: Measure must agree with a slot-by-slot walk
+// of the cyclic program that shares none of its lookup arithmetic. The
+// walk finds each request's slot by scanning every channel (not
+// Locate) and steps through the slot's starts c·CycleLength + Start
+// from cycle zero until one reaches the arrival (not next's floor
+// arithmetic).
+func TestMeasureMatchesSlotWalk(t *testing.T) {
 	for _, tc := range []struct {
 		n, k     int
 		requests int
@@ -98,26 +86,58 @@ func TestEventDrivenMatchesClosedForm(t *testing.T) {
 		{10, 2, 300},
 		{25, 5, 500},
 		{40, 7, 400},
+		{120, 6, 1000},
 	} {
 		a, p := fixture(t, tc.n, tc.k, int64(tc.n))
 		trace := makeTrace(t, a, tc.requests, int64(tc.k))
-		closed, err := Measure(p, trace)
+		var waitSum, probeSum, waitMax float64
+		for _, req := range trace {
+			var slot broadcast.Slot
+			var cycle float64
+			found := false
+			for _, ch := range p.Channels {
+				for _, sl := range ch.Slots {
+					if sl.Pos == req.Pos {
+						slot, cycle, found = sl, ch.CycleLength, true
+					}
+				}
+			}
+			if !found {
+				t.Fatalf("N=%d K=%d: item %d is on no channel", tc.n, tc.k, req.Pos)
+			}
+			start := slot.Start
+			for c := 1; start < req.Time; c++ {
+				start = float64(c)*cycle + slot.Start
+			}
+			probe, wait := start-req.Time, start-req.Time+slot.Duration
+			got, err := p.WaitFor(req.Pos, req.Time)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(got-wait) > 1e-9 {
+				t.Fatalf("N=%d K=%d: item %d at %v: WaitFor %v, slot walk %v",
+					tc.n, tc.k, req.Pos, req.Time, got, wait)
+			}
+			waitSum += wait
+			probeSum += probe
+			waitMax = math.Max(waitMax, wait)
+		}
+		res, err := Measure(p, trace)
 		if err != nil {
 			t.Fatal(err)
 		}
-		event, err := EventDriven(p, trace)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(closed.Wait.Mean-event.Wait.Mean) > 1e-6 {
-			t.Fatalf("N=%d K=%d: closed-form mean %v, event-driven %v",
-				tc.n, tc.k, closed.Wait.Mean, event.Wait.Mean)
-		}
-		if math.Abs(closed.Probe.Mean-event.Probe.Mean) > 1e-6 {
-			t.Fatalf("probe means diverge: %v vs %v", closed.Probe.Mean, event.Probe.Mean)
-		}
-		if math.Abs(closed.Wait.Max-event.Wait.Max) > 1e-6 {
-			t.Fatalf("max waits diverge: %v vs %v", closed.Wait.Max, event.Wait.Max)
+		n := float64(len(trace))
+		for _, m := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"wait mean", res.Wait.Mean, waitSum / n},
+			{"probe mean", res.Probe.Mean, probeSum / n},
+			{"wait max", res.Wait.Max, waitMax},
+		} {
+			if math.Abs(m.got-m.want) > 1e-9 {
+				t.Fatalf("N=%d K=%d: Measure %s %v, slot walk %v", tc.n, tc.k, m.name, m.got, m.want)
+			}
 		}
 	}
 }
@@ -219,12 +239,5 @@ func TestSingleItemProgram(t *testing.T) {
 	// finishing 1.5 (wait 0.9).
 	if math.Abs(res.Wait.Mean-0.9) > 1e-9 {
 		t.Fatalf("mean wait %v, want 0.9", res.Wait.Mean)
-	}
-	ev, err := EventDriven(p, trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(ev.Wait.Mean-0.9) > 1e-9 {
-		t.Fatalf("event-driven mean %v, want 0.9", ev.Wait.Mean)
 	}
 }

@@ -105,67 +105,3 @@ func TestCostMonitorGoldenPaperExample(t *testing.T) {
 		t.Fatal("drift alarm tripped on an undrifted workload")
 	}
 }
-
-// TestCostMonitorEnginesAgree: the closed form and the DES feed a
-// monitor identically — same wait count, same realized sums to
-// floating-point accuracy — so cost attribution does not depend on
-// which engine ran.
-func TestCostMonitorEnginesAgree(t *testing.T) {
-	db := core.PaperExampleDatabase()
-	a, err := core.NewDRPExampleConsistent().Allocate(db, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := broadcast.Build(a, 2, broadcast.ByPosition)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs, err := workload.GenerateTrace(db, workload.TraceConfig{
-		Requests: 4000, Rate: 20, Seed: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	mk := func() *costmon.Monitor {
-		clk := &trace.ManualClock{}
-		m, err := costmon.New(costmon.Config{
-			Items: db.Len(), Wait: costmon.WaitRequest, HalfLife: 1e9,
-			Registry: obs.NewRegistry(),
-			Tracer:   trace.New(trace.Config{Capacity: 64, Clock: clk}),
-			Clock:    clk,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.SetProgram(p, db.Frequencies()); err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	mc, me := mk(), mk()
-	if _, err := airsim.MeasureWith(p, reqs, airsim.Options{CostMonitor: mc}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := airsim.EventDrivenWith(p, reqs, airsim.Options{CostMonitor: me}); err != nil {
-		t.Fatal(err)
-	}
-	rc, re := mc.Report(), me.Report()
-	for c := range p.Channels {
-		if rc.Channels[c].Waits != re.Channels[c].Waits {
-			t.Fatalf("channel %d wait counts differ: closed %d, DES %d",
-				c, rc.Channels[c].Waits, re.Channels[c].Waits)
-		}
-		if rc.Channels[c].Waits == 0 {
-			continue
-		}
-		diff := math.Abs(rc.Channels[c].RealizedMeanS - re.Channels[c].RealizedMeanS)
-		if diff > 1e-9 {
-			t.Fatalf("channel %d realized means differ by %v", c, diff)
-		}
-		if rc.Channels[c].TuneIns != re.Channels[c].TuneIns {
-			t.Fatalf("channel %d tune-ins differ: closed %d, DES %d",
-				c, rc.Channels[c].TuneIns, re.Channels[c].TuneIns)
-		}
-	}
-}

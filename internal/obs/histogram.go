@@ -6,10 +6,8 @@ import (
 )
 
 // Histogram counts observations in fixed-width bins over [Lo, Hi);
-// out-of-range observations land in underflow/overflow counters. It
-// mirrors the bin and quantile semantics of internal/stats.Histogram
-// exactly (the simulators' reporting shape) but every write is a
-// single atomic add, so it is safe on hot concurrent paths.
+// out-of-range observations land in underflow/overflow counters. Every
+// write is a single atomic add, so it is safe on hot concurrent paths.
 type Histogram struct {
 	lo, hi  float64
 	binSize float64
@@ -65,14 +63,11 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum reports the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Bins reports the bin count.
-func (h *Histogram) Bins() int { return len(h.bins) }
-
 // Quantile returns an approximation of the q-quantile (0 ≤ q ≤ 1)
-// assuming observations are uniform within each bin — the same
-// estimator as stats.Histogram.Quantile. Underflow mass is attributed
-// to lo and overflow to hi. Under concurrent writers the result is a
-// consistent-enough approximation, not a linearizable snapshot.
+// assuming observations are uniform within each bin. Underflow mass
+// is attributed to lo and overflow to hi. Under concurrent writers the
+// result is a consistent-enough approximation, not a linearizable
+// snapshot.
 func (h *Histogram) Quantile(q float64) float64 {
 	total := h.count.Load()
 	if total == 0 || q <= 0 {
@@ -108,7 +103,7 @@ type HistogramSnapshot struct {
 	Sum    float64
 }
 
-// Snapshot copies the current state for inspection in tests.
+// Snapshot copies the current state, for rendering and for tests.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Lo:    h.lo,

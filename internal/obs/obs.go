@@ -1,7 +1,6 @@
 // Package obs is a small, dependency-free, concurrency-safe metrics
-// layer: atomic counters and gauges, fixed-bin latency histograms
-// (the same bin semantics as internal/stats.Histogram, but safe for
-// concurrent writers), and a Registry that renders Prometheus-style
+// layer: atomic counters and gauges, fixed-bin histograms safe for
+// concurrent writers, and a Registry that renders Prometheus-style
 // text exposition and cheap point-in-time snapshots for tests.
 //
 // Hot paths hold a *Counter / *Gauge / *Histogram pointer obtained

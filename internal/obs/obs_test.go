@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"diversecast/internal/obs"
-	"diversecast/internal/stats"
 )
 
 func TestCounterAndGauge(t *testing.T) {
@@ -60,45 +59,6 @@ func TestLabelOrderIsCanonical(t *testing.T) {
 	snap := r.Snapshot()
 	if snap.Counter(`y_total{a="1",b="2"}`) != 1 {
 		t.Fatalf("snapshot keys = %v", snap.Counters)
-	}
-}
-
-// The obs histogram must agree with stats.Histogram bin-for-bin and
-// quantile-for-quantile: it is the concurrency-safe twin of the
-// simulators' reporting shape.
-func TestHistogramParityWithStats(t *testing.T) {
-	r := obs.NewRegistry()
-	oh := r.Histogram("wait_seconds", "waits", 0, 10, 25)
-	sh, err := stats.NewHistogram(0, 10, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 10000; i++ {
-		// Include out-of-range and exact-boundary mass.
-		x := rng.Float64()*14 - 2
-		if i%97 == 0 {
-			x = float64(i%26) * 0.4 // exactly on bin boundaries
-		}
-		oh.Observe(x)
-		sh.Add(x)
-	}
-	if int(oh.Count()) != sh.Total() {
-		t.Fatalf("count %d vs %d", oh.Count(), sh.Total())
-	}
-	snap := oh.Snapshot()
-	if int(snap.Under) != sh.Underflow() || int(snap.Over) != sh.Overflow() {
-		t.Fatalf("under/over %d/%d vs %d/%d", snap.Under, snap.Over, sh.Underflow(), sh.Overflow())
-	}
-	for i := 0; i < sh.Bins(); i++ {
-		if int(snap.Bins[i]) != sh.Bin(i) {
-			t.Fatalf("bin %d: %d vs %d", i, snap.Bins[i], sh.Bin(i))
-		}
-	}
-	for _, q := range []float64{-1, 0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.999, 1, 2} {
-		if got, want := oh.Quantile(q), sh.Quantile(q); got != want {
-			t.Fatalf("Quantile(%v) = %v, stats says %v", q, got, want)
-		}
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // chromeEvent is one Chrome trace_event object. Spans map to complete
-// events (ph "X"), instants and logs to instant events (ph "i");
+// events (ph "X"), instants to instant events (ph "i");
 // timestamps and durations are microseconds as the format requires.
 type chromeEvent struct {
 	Name  string         `json:"name"`

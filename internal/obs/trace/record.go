@@ -15,8 +15,6 @@ const (
 	KindSpan RecordKind = iota
 	// KindEvent is an instant structured event.
 	KindEvent
-	// KindLog is a structured log record captured off an slog pipeline.
-	KindLog
 )
 
 // String returns the kind name.
@@ -26,15 +24,13 @@ func (k RecordKind) String() string {
 		return "span"
 	case KindEvent:
 		return "event"
-	case KindLog:
-		return "log"
 	}
 	return "unknown"
 }
 
 // Record is one entry in the ring buffer. For spans, Span is the
-// span's own ID and Parent its parent span (0 = root); for events and
-// logs, Span/Parent name the enclosing span (0 = none).
+// span's own ID and Parent its parent span (0 = root); for events,
+// Span/Parent name the enclosing span (0 = none).
 type Record struct {
 	Kind   RecordKind
 	Name   string

@@ -14,7 +14,7 @@
 // frame path carry their probes unconditionally. Timestamps come from
 // an injectable Clock — wall-clock monotonic by default, a ManualClock
 // in tests, or a virtual simulation clock (internal/airsim stamps its
-// spans with discrete-event time via the *At variants) — so traces are
+// spans with simulated time via the *At variants) — so traces are
 // replayable and golden-testable.
 //
 // Instrumented packages default to the process-wide Default() tracer,
@@ -69,7 +69,7 @@ type Config struct {
 	// Clock supplies timestamps. Default: monotonic nanoseconds since
 	// Enable.
 	Clock Clock
-	// RunID correlates every span, event, and log record of one run.
+	// RunID correlates every span and event of one run.
 	// Default: a generated unique ID.
 	RunID string
 }

@@ -220,7 +220,7 @@ func TestAttrRendering(t *testing.T) {
 			t.Errorf("Value() = %v (%T), want %v", got, got, c.val)
 		}
 	}
-	if got := fmt.Sprint(KindSpan, KindEvent, KindLog, RecordKind(9)); got != "span event log unknown" {
+	if got := fmt.Sprint(KindSpan, KindEvent, RecordKind(9)); got != "span event unknown" {
 		t.Errorf("kind strings = %q", got)
 	}
 }

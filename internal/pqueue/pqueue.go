@@ -1,7 +1,6 @@
 // Package pqueue provides a small generic priority queue built on
-// container/heap. It is used by the DRP allocator (max-queue of groups
-// keyed by cost) and by the discrete-event simulator (min-queue of
-// events keyed by time).
+// container/heap. The DRP allocator uses it as a max-queue of groups
+// keyed by cost.
 package pqueue
 
 import "container/heap"
@@ -36,16 +35,6 @@ func (q *Queue[T]) Pop() (T, bool) {
 	return heap.Pop(q.h).(T), true
 }
 
-// Peek returns the highest-priority element without removing it. The
-// boolean is false if the queue is empty.
-func (q *Queue[T]) Peek() (T, bool) {
-	if len(q.h.elems) == 0 {
-		var zero T
-		return zero, false
-	}
-	return q.h.elems[0], true
-}
-
 // Drain removes and returns all elements in priority order.
 func (q *Queue[T]) Drain() []T {
 	out := make([]T, 0, q.Len())
@@ -56,14 +45,6 @@ func (q *Queue[T]) Drain() []T {
 		}
 		out = append(out, v)
 	}
-}
-
-// Items returns a copy of the queued elements in heap (not priority)
-// order. It is intended for inspection and tests.
-func (q *Queue[T]) Items() []T {
-	out := make([]T, len(q.h.elems))
-	copy(out, q.h.elems)
-	return out
 }
 
 // inner implements heap.Interface.

@@ -15,9 +15,6 @@ func TestEmptyQueue(t *testing.T) {
 	if _, ok := q.Pop(); ok {
 		t.Fatal("Pop on empty queue reported ok")
 	}
-	if _, ok := q.Peek(); ok {
-		t.Fatal("Peek on empty queue reported ok")
-	}
 	if got := q.Drain(); len(got) != 0 {
 		t.Fatalf("Drain on empty queue returned %v", got)
 	}
@@ -42,23 +39,12 @@ func TestMaxQueueOrdering(t *testing.T) {
 	for _, v := range []int{5, 3, 8, 1, 9, 2} {
 		q.Push(v)
 	}
-	if top, _ := q.Peek(); top != 9 {
-		t.Fatalf("Peek = %d, want 9", top)
-	}
 	got := q.Drain()
 	want := []int{9, 8, 5, 3, 2, 1}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("Drain = %v, want %v", got, want)
 		}
-	}
-}
-
-func TestPeekDoesNotRemove(t *testing.T) {
-	q := New(func(a, b int) bool { return a < b })
-	q.Push(4)
-	if _, ok := q.Peek(); !ok || q.Len() != 1 {
-		t.Fatal("Peek removed the element")
 	}
 }
 
@@ -93,17 +79,6 @@ func TestStructElements(t *testing.T) {
 	q.Push(task{"mid", 5})
 	if v, _ := q.Pop(); v.name != "high" {
 		t.Fatalf("got %q, want high", v.name)
-	}
-}
-
-func TestItemsIsACopy(t *testing.T) {
-	q := New(func(a, b int) bool { return a < b })
-	q.Push(1)
-	q.Push(2)
-	items := q.Items()
-	items[0] = 99
-	if v, _ := q.Peek(); v != 1 {
-		t.Fatal("Items aliased the internal slice")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package stats provides the summary statistics the experiment harness
-// and simulators report: streaming accumulators (Welford), summaries
-// with confidence intervals, and fixed-width histograms.
+// and simulators report: streaming accumulators (Welford) and
+// summaries with confidence intervals.
 package stats
 
 import (
@@ -36,9 +36,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += delta * (x - a.mean)
 }
 
-// N reports the number of observations.
-func (a *Accumulator) N() int { return a.n }
-
 // Mean returns the running mean (0 with no observations).
 func (a *Accumulator) Mean() float64 { return a.mean }
 
@@ -53,12 +50,6 @@ func (a *Accumulator) Variance() float64 {
 
 // StdDev returns the sample standard deviation.
 func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
-
-// Min returns the smallest observation (0 with none).
-func (a *Accumulator) Min() float64 { return a.min }
-
-// Max returns the largest observation (0 with none).
-func (a *Accumulator) Max() float64 { return a.max }
 
 // Summary snapshots an accumulator.
 type Summary struct {
@@ -85,27 +76,6 @@ func (a *Accumulator) Summarize() Summary {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g ±%.2g (sd=%.3g, min=%.4g, max=%.4g)",
 		s.N, s.Mean, s.CI95, s.StdDev, s.Min, s.Max)
-}
-
-// Of summarizes a slice in one call.
-func Of(xs []float64) Summary {
-	var a Accumulator
-	for _, x := range xs {
-		a.Add(x)
-	}
-	return a.Summarize()
-}
-
-// Mean returns the arithmetic mean of xs (0 for an empty slice).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }
 
 // RelativeError returns (got-want)/want; it is how EXPERIMENTS.md

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -10,14 +9,15 @@ import (
 
 func TestAccumulatorBasics(t *testing.T) {
 	var a Accumulator
-	if a.N() != 0 || a.Mean() != 0 || a.Variance() != 0 {
-		t.Fatal("zero-value accumulator should report zeros")
+	if s := a.Summarize(); s.N != 0 || s.Mean != 0 || s.StdDev != 0 || s.Min != 0 || s.Max != 0 {
+		t.Fatalf("zero-value accumulator should summarize to zeros, got %+v", s)
 	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		a.Add(x)
 	}
-	if a.N() != 8 {
-		t.Fatalf("N = %d", a.N())
+	s := a.Summarize()
+	if s.N != 8 {
+		t.Fatalf("N = %d", s.N)
 	}
 	if math.Abs(a.Mean()-5) > 1e-12 {
 		t.Fatalf("mean = %v, want 5", a.Mean())
@@ -27,8 +27,8 @@ func TestAccumulatorBasics(t *testing.T) {
 	if math.Abs(a.Variance()-32.0/7) > 1e-12 {
 		t.Fatalf("variance = %v, want %v", a.Variance(), 32.0/7)
 	}
-	if a.Min() != 2 || a.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", a.Min(), a.Max())
+	if s.Min != 2 || s.Max != 9 {
+		t.Fatalf("min/max = %v/%v", s.Min, s.Max)
 	}
 }
 
@@ -61,7 +61,11 @@ func TestAccumulatorMatchesTwoPass(t *testing.T) {
 		for _, x := range xs {
 			a.Add(x)
 		}
-		mean := Mean(xs)
+		var sum float64
+		for _, x := range xs {
+			sum += x
+		}
+		mean := sum / float64(len(xs))
 		var ss float64
 		for _, x := range xs {
 			ss += (x - mean) * (x - mean)
@@ -77,8 +81,11 @@ func TestAccumulatorMatchesTwoPass(t *testing.T) {
 }
 
 func TestSummaryString(t *testing.T) {
-	s := Of([]float64{1, 2, 3})
-	str := s.String()
+	var a Accumulator
+	for _, x := range []float64{1, 2, 3} {
+		a.Add(x)
+	}
+	str := a.Summarize().String()
 	if !strings.Contains(str, "n=3") || !strings.Contains(str, "mean=2") {
 		t.Fatalf("summary string %q lacks fields", str)
 	}
@@ -99,93 +106,14 @@ func TestRelativeError(t *testing.T) {
 	}
 }
 
-func TestHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(1, 1, 4); err == nil {
-		t.Error("hi == lo should fail")
+// A constant input summarizes to its value with zero spread.
+func TestSummarizeConstantInput(t *testing.T) {
+	var a Accumulator
+	for _, x := range []float64{5, 5, 5} {
+		a.Add(x)
 	}
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Error("zero bins should fail")
-	}
-}
-
-func TestHistogramBinning(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-1, 0, 1.9, 2, 5.5, 9.99, 10, 42} {
-		h.Add(x)
-	}
-	if h.Total() != 8 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if h.Underflow() != 1 || h.Overflow() != 2 {
-		t.Fatalf("under/over = %d/%d", h.Underflow(), h.Overflow())
-	}
-	wantBins := []int{2, 1, 1, 0, 1} // [0,2): {0,1.9}, [2,4): {2}, [4,6): {5.5}, [8,10): {9.99}
-	for i, want := range wantBins {
-		if got := h.Bin(i); got != want {
-			t.Errorf("bin %d = %d, want %d", i, got, want)
-		}
-	}
-	if h.Bins() != 5 {
-		t.Fatalf("Bins = %d", h.Bins())
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h, err := NewHistogram(0, 100, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 100000; i++ {
-		h.Add(rng.Float64() * 100)
-	}
-	for _, q := range []float64{0.1, 0.5, 0.9} {
-		got := h.Quantile(q)
-		if math.Abs(got-q*100) > 1.5 {
-			t.Errorf("Quantile(%v) = %v, want ≈ %v", q, got, q*100)
-		}
-	}
-	if h.Quantile(0) != 0 || h.Quantile(1) != 100 {
-		t.Error("extreme quantiles should clamp to bounds")
-	}
-	empty, err := NewHistogram(0, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if empty.Quantile(0.5) != 0 {
-		t.Error("empty histogram quantile should return lo")
-	}
-}
-
-func TestHistogramRender(t *testing.T) {
-	h, err := NewHistogram(0, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Add(1)
-	h.Add(1.5)
-	h.Add(3)
-	h.Add(-5)
-	h.Add(99)
-	out := h.Render(10)
-	if !strings.Contains(out, "<underflow>") || !strings.Contains(out, "<overflow>") {
-		t.Fatalf("render lacks overflow rows:\n%s", out)
-	}
-	if !strings.Contains(out, "##########") {
-		t.Fatalf("render lacks full-width bar:\n%s", out)
-	}
-}
-
-func TestOf(t *testing.T) {
-	s := Of(nil)
-	if s.N != 0 {
-		t.Fatal("Of(nil) should be empty")
-	}
-	s = Of([]float64{5, 5, 5})
-	if s.Mean != 5 || s.StdDev != 0 {
+	s := a.Summarize()
+	if s.N != 3 || s.Mean != 5 || s.StdDev != 0 || s.CI95 != 0 || s.Min != 5 || s.Max != 5 {
 		t.Fatalf("summary = %+v", s)
 	}
 }
