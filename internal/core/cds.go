@@ -30,9 +30,10 @@ const (
 // paper's stated O(K²N) bound); the incremental strategy exploits
 // that a move D_p → D_q only changes those two groups' aggregates and
 // members: it keeps a K×K table of per-(source, destination) champions
-// or upper bounds, and per move rebounds the touched rows and columns
-// in O(K), passes once over the K² cells for those that reach the
-// running best (sixteen at a time in an AVX2 scan from K = 16 on),
+// or upper bounds, each anchored at the state of its last exact scan,
+// and per move bounds the touched rows and columns afresh from their
+// anchors in O(K), passes once over the K² cells for those that reach
+// the running best (sixteen at a time in an AVX2 scan from K = 16 on),
 // and rescans the members of only the cells whose bound could beat
 // the best (see DESIGN.md §2). Both strategies select bit-for-bit
 // identical moves.
@@ -327,18 +328,15 @@ type cdsItem struct {
 // Diagonal cells and the rows of empty groups hold (−Inf, −1): stale,
 // with a bound no pick threshold reaches.
 //
+// Every cell also keeps its anchor, the state of its last exact scan.
 // A move from → to changes only agg[from], agg[to] and the membership
 // of those two groups, so applied touches only rows and columns from
 // and to, in O(K) and without evaluating any member but the moved one
-// (see DESIGN.md §2 for the proofs):
-//   - row from and column to can only fall, so their values stay as
-//     bounds;
-//   - row to and column from rise by at most the aggregate rises times
-//     the row's largest f and z, plus a rounding slack; the moved item's
-//     own Δc toward every destination is folded into row to.
-//
-// pick then refreshes (rescans exactly) only the stale cells whose
-// bound could beat the best fresh cell.
+// (see DESIGN.md §2 for the proofs): it folds the moved item into row
+// to's anchors, and bounds every touched cell afresh from its anchor by
+// the net rise of its aggregate differences since that scan, plus a
+// rounding slack. pick then refreshes (rescans exactly) only the stale
+// cells whose bound could beat the best fresh cell.
 type incrementalSelector struct {
 	cur *Allocation
 	agg []GroupAgg
@@ -350,12 +348,12 @@ type incrementalSelector struct {
 	// dc and pos are the K×K cells, row-major by source group.
 	dc  []float64
 	pos []int32
-	// prev is agg as of the last table update: refine updates agg
-	// before applied runs, and the bounds rise by the difference.
-	prev []GroupAgg
+	// anc holds every cell's anchor, in dc's layout.
+	anc []anchor
 	// lim holds, per group, upper bounds on its members' f, z and
-	// 2·f·z. They only grow: a member leaving keeps them valid.
-	lim []cdsItem
+	// 2·f·z, and the rounding slack they imply. They only grow: a
+	// member leaving keeps them valid.
+	lim []rowLim
 	// zcap and fcap bound Z_p+Z_q and F_p+F_q for any two groups.
 	zcap, fcap float64
 	// passKernel is whether pick's pass runs through the AVX2 pass
@@ -370,13 +368,29 @@ type incrementalSelector struct {
 	visited    int64
 }
 
+// anchor is the state of a cell's last exact scan: the aggregate
+// differences dz = Z_p−Z_q and df = F_p−F_q it ran at, and v, at least
+// every member's Δc evaluated at that dz and df (the scan's maximum,
+// raised by the members that joined since; those that left need
+// nothing).
+type anchor struct {
+	v, dz, df float64
+}
+
+// rowLim is a group's member maxima f̂, ẑ, t̂ and its rounding slack
+// σ·(f̂·zcap + ẑ·fcap + t̂), kept beside them for the bound's column
+// walks.
+type rowLim struct {
+	f, z, tfz, slack float64
+}
+
 const (
-	// boundSlack times a row's magnitude T = f̂·zcap + ẑ·fcap + t̂ is
-	// the rounding slack every raised bound gets: 2⁻⁴⁷ is 64 units of
-	// roundoff, where the proof in DESIGN.md §2 needs 23.
+	// boundSlack is σ: times a row's magnitude T = f̂·zcap + ẑ·fcap + t̂
+	// it is the rounding slack every anchored bound gets. 2⁻⁴⁷ is 64
+	// units of roundoff, where the proof in DESIGN.md §2 needs 14.
 	boundSlack = 0x1p-47
-	// boundRel times |bound| covers rounding the raised bound's own
-	// sum: 2⁻⁵⁰ is 8 units of roundoff, where the proof needs 2.
+	// boundRel is ρ: times |bound| it covers rounding the bound's own
+	// sums. 2⁻⁵⁰ is 8 units of roundoff, where the proof needs 2.
 	boundRel = 0x1p-50
 	// capPad lifts the float sum of N positive values above 1+u times
 	// their exact sum, and so above any two groups' aggregates (each
@@ -392,9 +406,11 @@ func newIncrementalSelector(cur *Allocation, agg []GroupAgg) *incrementalSelecto
 		fzt:  make([]cdsItem, cur.db.Len()),
 		dc:   make([]float64, k*k),
 		pos:  make([]int32, k*k),
-		prev: append([]GroupAgg(nil), agg...),
-		lim:  make([]cdsItem, k),
+		anc:  make([]anchor, k*k),
+		lim:  make([]rowLim, k),
 		cont: make([]int32, k*k),
+		zcap: cur.db.totalSize * capPad,
+		fcap: cur.db.totalFreq * capPad,
 
 		passKernel: k >= passFloor,
 	}
@@ -403,7 +419,6 @@ func newIncrementalSelector(cur *Allocation, agg []GroupAgg) *incrementalSelecto
 		s.fzt[i] = x
 		s.raiseLim(cur.channel[i], x)
 	}
-	s.zcap, s.fcap = cur.db.totalSize*capPad, cur.db.totalFreq*capPad
 	if cur.db.Len()/k >= kernelFloor {
 		s.arr = newMemberArrays(cur, s.fzt)
 	}
@@ -421,16 +436,27 @@ func newIncrementalSelector(cur *Allocation, agg []GroupAgg) *incrementalSelecto
 	return s
 }
 
-// raiseLim folds item x into group g's f/z/2fz maxima.
+// raiseLim folds item x into group g's f/z/2fz maxima and, if they
+// grew, recomputes the group's slack.
 func (s *incrementalSelector) raiseLim(g int, x cdsItem) {
 	l := &s.lim[g]
+	if x.f <= l.f && x.z <= l.z && x.tfz <= l.tfz {
+		return
+	}
 	l.f, l.z, l.tfz = max(l.f, x.f), max(l.z, x.z), max(l.tfz, x.tfz)
+	l.slack = boundSlack * (l.f*s.zcap + l.z*s.fcap + l.tfz)
 }
 
-// rise is how far a bound of a row with maxima l may climb when
-// Z_p−Z_q rises by dz and F_p−F_q by df, rounding slack included.
-func (s *incrementalSelector) rise(l cdsItem, dz, df float64) float64 {
-	return l.f*dz + l.z*df + boundSlack*(l.f*s.zcap+l.z*s.fcap+l.tfz)
+// bound is cell c's bound from its anchor, for a source group with
+// aggregates ap and limits l toward one with aq: the anchor's v, plus
+// the row's maxima times how far Z_p−Z_q and F_p−F_q rose since the
+// anchoring scan (a net fall credits nothing), plus the row's slack,
+// plus ρ·|bound| for the bound's own rounding. ap must not be empty:
+// an empty group's anchors may hold −Inf, and −Inf + Inf·ρ is NaN.
+func (s *incrementalSelector) bound(c int, ap, aq GroupAgg, l rowLim) float64 {
+	a := s.anc[c]
+	b := a.v + (l.f*max(ap.Z-aq.Z-a.dz, 0) + l.z*max(ap.F-aq.F-a.df, 0) + l.slack)
+	return b + math.Abs(b)*boundRel
 }
 
 // refresh recomputes cell c of row p exactly: every member of D_p
@@ -440,7 +466,8 @@ func (s *incrementalSelector) rise(l cdsItem, dz, df float64) float64 {
 // running max into conditional moves, while a float one stays a branch
 // that mispredicts whenever database position correlates with Δc. With
 // member arrays the scan runs in the AVX2 kernel instead, which
-// returns the same maximum and first member (DESIGN.md §2).
+// returns the same maximum and first member (DESIGN.md §2). The cell is
+// anchored at the scan: its maximum and the differences it ran at.
 func (s *incrementalSelector) refresh(c, p int) {
 	ap, aq := s.agg[p], s.agg[c-p*s.k]
 	// MoveReduction with the aggregate differences and the 2·f·z term
@@ -462,6 +489,7 @@ func (s *incrementalSelector) refresh(c, p int) {
 		}
 	}
 	s.dc[c], s.pos[c] = keyFloat(best), bestPos
+	s.anc[c] = anchor{v: s.dc[c], dz: dz, df: df}
 }
 
 // orderKey maps x to an int64 that orders like x for every non-NaN
@@ -594,62 +622,44 @@ func (s *incrementalSelector) next() (Move, bool) {
 func (s *incrementalSelector) applied(m Move) {
 	// refine updated agg and the member lists before notifying us.
 	k, from, to := s.k, m.From, m.To
-	pf, pt := s.prev[from], s.prev[to]
-	nf, nt := s.agg[from], s.agg[to]
-	s.prev[from], s.prev[to] = nf, nt
 	x := s.fzt[m.Pos]
 	s.raiseLim(to, x)
 	if s.arr != nil {
 		s.arr.moved(s.cur, s.fzt, m.Pos, from, to)
 	}
+
+	// x joins to: fold its Δc at each anchor of row to into that
+	// anchor, evaluated as refresh would have (MoveReduction with the
+	// aggregate differences and the 2·f·z term hoisted).
+	for q := range k {
+		if a := &s.anc[to*k+q]; q != to {
+			a.v = max(a.v, x.f*a.dz+x.z*a.df-x.tfz)
+		}
+	}
+	// Every cell whose aggregates changed turns stale, bounded from its
+	// anchor: rows from and to, then columns from and to outside them.
+	// An empty group's row is exactly −Inf: from's if x was its last
+	// member, and those of groups already empty, which stay as they are.
 	negInf := math.Inf(-1)
-
-	// Row from and column to fall: keep their values as bounds. An
-	// emptied group's row is exact at −Inf.
-	dcF, posF := s.dc[from*k:(from+1)*k], s.pos[from*k:(from+1)*k]
-	for q := range posF {
-		if nf.N == 0 {
-			dcF[q] = negInf
+	for _, p := range [2]int{from, to} {
+		ap, l := s.agg[p], s.lim[p]
+		for q, aq := range s.agg {
+			if c := p*k + q; q != p {
+				s.dc[c], s.pos[c] = negInf, -1
+				if ap.N > 0 {
+					s.dc[c] = s.bound(c, ap, aq, l)
+				}
+			}
 		}
-		posF[q] = -1
 	}
-	for c := to; c < len(s.pos); c += k {
-		s.pos[c] = -1
+	for _, q := range [2]int{from, to} {
+		aq := s.agg[q]
+		for p, ap := range s.agg {
+			if c := p*k + q; p != from && p != to && ap.N > 0 {
+				s.dc[c], s.pos[c] = s.bound(c, ap, aq, s.lim[p]), -1
+			}
+		}
 	}
-
-	// Column from rises by how far Z_from and F_from fell.
-	dzF, dfF := pf.Z-nf.Z, pf.F-nf.F
-	for p, g := range s.agg {
-		if p == from || p == to || g.N == 0 {
-			continue
-		}
-		c := p*k + from
-		b := s.dc[c]
-		s.dc[c], s.pos[c] = b+(s.rise(s.lim[p], dzF, dfF)+math.Abs(b)*boundRel), -1
-	}
-
-	// Row to rises by how far Z_to and F_to rose, cell (to, from) by
-	// column from's rise as well, and x joins the row's members. If to
-	// was empty its row is all −Inf and x alone bounds it.
-	lt := s.lim[to]
-	riseT := s.rise(lt, nt.Z-pt.Z, nt.F-pt.F)
-	riseTF := riseT + (lt.f*dzF + lt.z*dfF)
-	dcT, posT := s.dc[to*k:(to+1)*k], s.pos[to*k:(to+1)*k]
-	for q, g := range s.agg[:len(dcT)] {
-		b, r := dcT[q], riseT
-		if q == from {
-			r = riseTF
-		}
-		if pt.N > 0 {
-			b += r + math.Abs(b)*boundRel
-		}
-		// MoveReduction for x toward q, hoisted as in refresh.
-		if dx := x.f*(nt.Z-g.Z) + x.z*(nt.F-g.F) - x.tfz; dx > b {
-			b = dx
-		}
-		dcT[q], posT[q] = b, -1
-	}
-	dcT[to] = negInf
 	s.pick()
 }
 

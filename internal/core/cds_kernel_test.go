@@ -290,7 +290,9 @@ func FuzzPassScan(f *testing.F) {
 // selectorRun drives the default engine on a like refine, applying
 // every move next hands out until it finds none, and returns the moves
 // and the selector's counters. It fails unless the selector runs the
-// pass scan exactly when wantPass is set.
+// pass scan exactly when wantPass is set, and fails rather than run on
+// past 10·N moves: a selector that hands out a stale move as exact can
+// offer it forever.
 func selectorRun(t *testing.T, a *Allocation, wantPass bool) ([]Move, selStats) {
 	t.Helper()
 	cur := a.Clone()
@@ -304,6 +306,9 @@ func selectorRun(t *testing.T, a *Allocation, wantPass bool) ([]Move, selStats) 
 		m, found := sel.next()
 		if !found {
 			return moves, sel.stats()
+		}
+		if len(moves) == 10*cur.db.Len() {
+			t.Fatalf("K=%d: no local optimum after %d moves", cur.K(), len(moves))
 		}
 		applyMove(cur, agg, sel, m)
 		moves = append(moves, m)
@@ -345,5 +350,45 @@ func TestPassCellsSameWithAndWithoutKernel(t *testing.T) {
 			t.Logf("K=%d %s: %d moves, %d pass cells visited (%.1f per pick of %d cells)",
 				k, start.name, len(goMoves), goStats.visited, float64(goStats.visited)/float64(len(goMoves)+1), k*k)
 		}
+	}
+}
+
+// TestCDSWorkCounts pins the default engine's work as exact counts:
+// full refinements from DRP starts on the Table 5 shape at N=10⁴ (the
+// core tests' generator, θ = 0.8, Φ = 2, seed 1), K = 8 and 64, must
+// apply the same number of moves, scan the same number of members in
+// exact cell scans (the table build included) and hand pick's passes
+// the same number of cells, with both kernels off and with both
+// forced. The counts are the same on every host, so a change in the
+// engine's work shows here whatever the machine.
+//
+// Before the cells' bounds were anchored at their last exact scan (each
+// touched bound raised by every move's aggregate rise, a fall never
+// credited) the same refinements made the same moves and scanned
+// 14,189,292 members (5,449 per move) with 20,633 pass cells at K=8,
+// and 65,726,641 members (9,759 per move) with 440,462 pass cells at
+// K=64.
+func TestCDSWorkCounts(t *testing.T) {
+	db := diverseDatabase(t, 1, 10000, 0.8, 2)
+	for _, want := range []struct {
+		k, moves            int
+		recomputed, visited int64
+	}{
+		{8, 2604, 10130869, 16909},
+		{64, 6735, 14401261, 189063},
+	} {
+		drp, err := NewDRP().Allocate(db, want.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(fmt.Sprintf("K=%d", want.k), func(t *testing.T) {
+			withKernel(t, func(t *testing.T) {
+				moves, st := selectorRun(t, drp, passFloor != noKernel)
+				if len(moves) != want.moves || st.recomputed != want.recomputed || st.visited != want.visited {
+					t.Errorf("%d moves, %d members scanned, %d pass cells; want %d, %d, %d",
+						len(moves), st.recomputed, st.visited, want.moves, want.recomputed, want.visited)
+				}
+			})
+		})
 	}
 }

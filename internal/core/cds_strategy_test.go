@@ -392,6 +392,67 @@ func TestCDSIncrementalBoundsAbsorbRounding(t *testing.T) {
 	}
 }
 
+// FuzzCDSBounds checks the anchored bounds after every move of a
+// fuzzed move script on a fuzzed small database. items decodes 3–12
+// items, two bytes each, read cyclically: a first byte below 64 gives
+// a frequency within 7 ulps of 1, any other one a frequency over nine
+// decades, and the second byte a size over six decades, so Eq. 4 often
+// cancels to within rounding of 0. Each script byte is one step: a
+// random move (randomMove on a rand seeded by seed, so often
+// cost-raising), a move of item b mod N to another group and straight
+// back, which leaves every aggregate where it was so the anchors age
+// while their net changes return to zero or go negative, or the
+// engine's own best move when it has one. checkSelectorTable runs after
+// every move. The last seed fails as soon as the rounding slack is
+// removed.
+func FuzzCDSBounds(f *testing.F) {
+	f.Add(int64(1), uint8(0), []byte{3, 200, 90, 10, 250, 128, 0, 40}, []byte{0, 64, 128, 192, 1, 65, 129, 193})
+	f.Add(int64(2), uint8(1), []byte{1, 0, 2, 255, 5, 17, 64, 64, 255, 1}, []byte{130, 131, 132, 133, 0, 1, 2, 194, 195, 196})
+	f.Add(int64(3), uint8(2), []byte{70, 80, 90, 100, 110, 120, 130, 140, 150, 160, 170, 180, 190, 200, 210, 220, 230, 240, 250, 0, 10, 20, 30, 33},
+		[]byte{200, 201, 202, 203, 204, 205, 206, 207, 208, 209, 210, 211, 70, 71, 72, 73, 74, 75, 5, 6, 7})
+	f.Add(int64(43), uint8('9'), []byte("0X00"), []byte("00\xca0"))
+	f.Fuzz(func(t *testing.T, seed int64, rawK uint8, items, script []byte) {
+		if len(items) == 0 {
+			return
+		}
+		n := 3 + len(items)/2%10
+		db := make([]Item, n)
+		for i := range db {
+			fb, zb := items[2*i%len(items)], items[(2*i+1)%len(items)]
+			db[i] = Item{ID: i + 1, Freq: 1 + float64(fb%8)*0x1p-52, Size: math.Pow(10, 6*float64(zb)/255)}
+			if fb >= 64 {
+				db[i].Freq = math.Pow(10, -9*float64(fb-64)/191)
+			}
+		}
+		k := 2 + int(rawK)%(min(n, 6)-1)
+		rng := rand.New(rand.NewSource(seed))
+		cur := randomAllocation(t, MustNewDatabase(db), k, int(seed))
+		agg := cur.Aggregates()
+		sel := newIncrementalSelector(cur, agg)
+		checkSelectorTable(t, "start", sel, cur, agg)
+		step := func(i int, m Move) {
+			applyMove(cur, agg, sel, m)
+			checkSelectorTable(t, fmt.Sprintf("step %d %+v", i, m), sel, cur, agg)
+		}
+		for i, b := range script[:min(len(script), 200)] {
+			switch b >> 6 {
+			case 0, 1:
+				step(i, randomMove(rng, cur))
+			case 2:
+				pos := int(b) % n
+				from := cur.ChannelOf(pos)
+				to := (from + 1 + int(b>>3)%(k-1)) % k
+				step(i, Move{Pos: pos, From: from, To: to})
+				step(i, Move{Pos: pos, From: to, To: from})
+			default:
+				if m, found := sel.next(); found {
+					step(i, m)
+				}
+			}
+		}
+	})
+}
+
 // TestCDSPickOnAnyStaleMix checks pick against the all-fresh table on
 // arbitrary mixes of fresh and stale cells: every off-diagonal cell is
 // turned stale at random with its exact value, or a slightly or

@@ -11,6 +11,12 @@ import (
 	"diversecast/internal/workload"
 )
 
+// evolve runs the GA with one fitness, which keeps no state, shared by
+// every worker.
+func (g GOPT) evolve(length, alphabet int, fitness func(genes []int) float64) (*result, error) {
+	return g.evolveWith(length, alphabet, func() func([]int) float64 { return fitness })
+}
+
 // oneMax counts ones: the classic GA smoke problem.
 func oneMax(genes []int) float64 {
 	var s float64
@@ -225,24 +231,38 @@ func TestDeterministicAcrossGOMAXPROCS(t *testing.T) {
 }
 
 // TestEvalBatchWritesByIndex exercises the pool directly on a batch
-// larger than the worker count.
+// larger than the worker count. Each worker's fitness counts its calls
+// without synchronisation, so the race detector sees any function
+// called from two goroutines at once.
 func TestEvalBatchWritesByIndex(t *testing.T) {
-	batch := make([][]int, 101)
-	for i := range batch {
-		batch[i] = []int{i}
-	}
-	fit := func(genes []int) float64 { return float64(genes[0]) * 1.5 }
 	for _, workers := range []int{1, 2, 7, 64, 200} {
-		out := evalBatch(batch, fit, workers)
-		for i := range out {
-			if out[i] != float64(i)*1.5 {
-				t.Fatalf("workers=%d: out[%d] = %v", workers, i, out[i])
+		batch := make([]scored, 101)
+		for i := range batch {
+			batch[i].genes = []int{i}
+		}
+		calls := make([]int, workers)
+		fits := make([]func([]int) float64, workers)
+		for w := range fits {
+			fits[w] = func(genes []int) float64 {
+				calls[w]++
+				return float64(genes[0]) * 1.5
+			}
+		}
+		evalBatch(batch, fits)
+		total := 0
+		for _, c := range calls {
+			total += c
+		}
+		if total != len(batch) {
+			t.Fatalf("workers=%d: %d fitness calls for %d members", workers, total, len(batch))
+		}
+		for i, s := range batch {
+			if s.fitness != float64(i)*1.5 {
+				t.Fatalf("workers=%d: member %d scored %v", workers, i, s.fitness)
 			}
 		}
 	}
-	if got := evalBatch(nil, fit, 4); len(got) != 0 {
-		t.Fatalf("empty batch returned %d results", len(got))
-	}
+	evalBatch(nil, []func([]int) float64{func([]int) float64 { panic("empty batch scored") }})
 }
 
 func BenchmarkEvolveOneMax(b *testing.B) {

@@ -99,22 +99,25 @@ func (g *GOPT) search(db *core.Database, k int) (*result, error) {
 		return nil, fmt.Errorf("gopt: %w: K=%d, N=%d", core.ErrBadChannelCount, k, n)
 	}
 	// Fitness: the negated grouping cost, summed from the chromosome
-	// in O(N).
-	fitness := func(genes []int) float64 {
-		f := make([]float64, k)
-		z := make([]float64, k)
-		for pos, c := range genes {
-			it := db.Item(pos)
-			f[c] += it.Freq
-			z[c] += it.Size
+	// in O(N) into one worker's K frequency and K size sums.
+	newFitness := func() func([]int) float64 {
+		f, z := make([]float64, k), make([]float64, k)
+		return func(genes []int) float64 {
+			clear(f)
+			clear(z)
+			for pos, c := range genes {
+				it := db.Item(pos)
+				f[c] += it.Freq
+				z[c] += it.Size
+			}
+			var cost float64
+			for c := 0; c < k; c++ {
+				cost += f[c] * z[c]
+			}
+			return -cost
 		}
-		var cost float64
-		for c := 0; c < k; c++ {
-			cost += f[c] * z[c]
-		}
-		return -cost
 	}
-	res, err := g.evolve(n, k, fitness)
+	res, err := g.evolveWith(n, k, newFitness)
 	if err != nil {
 		return nil, fmt.Errorf("gopt: %w", err)
 	}
@@ -167,10 +170,12 @@ type scored struct {
 	fitness float64
 }
 
-// evolve maximizes fitness over chromosomes of the given length whose
-// genes lie in [0, alphabet). fitness must be a pure function of its
-// genes: it is called from the worker pool concurrently.
-func (g GOPT) evolve(length, alphabet int, fitness func(genes []int) float64) (*result, error) {
+// evolveWith maximizes a fitness over chromosomes of the given length
+// whose genes lie in [0, alphabet). newFitness is called once per
+// worker of the pool; each function it returns scores chromosomes on
+// one goroutine at a time, so it may keep scratch, but its score must
+// be a pure function of the genes.
+func (g GOPT) evolveWith(length, alphabet int, newFitness func() func(genes []int) float64) (*result, error) {
 	g, err := g.withDefaults()
 	if err != nil {
 		return nil, err
@@ -178,36 +183,34 @@ func (g GOPT) evolve(length, alphabet int, fitness func(genes []int) float64) (*
 	rng := rand.New(rand.NewSource(g.Seed))
 	mutationRate := 1 / float64(length)
 	res := &result{}
-
-	// evaluateAll scores a batch over the worker pool, writing results
-	// by index: the returned slice is identical whatever the pool size
-	// or scheduling order.
-	evaluateAll := func(batch [][]int) []float64 {
+	fits := make([]func([]int) float64, g.Workers)
+	for w := range fits {
+		fits[w] = newFitness()
+	}
+	evaluate := func(batch []scored) {
 		res.evaluations += len(batch)
-		return evalBatch(batch, fitness, g.Workers)
+		evalBatch(batch, fits)
 	}
 
-	// Initial population, random. Generation is serial on the single
-	// rng; only evaluation fans out.
-	pop := make([]scored, g.PopulationSize)
-	initial := make([][]int, g.PopulationSize)
-	for i := range initial {
-		genes := make([]int, length)
-		for j := range genes {
-			genes[j] = rng.Intn(alphabet)
+	// Two populations, double-buffered: each generation breeds into
+	// the spare one, so no chromosome is allocated after these. The
+	// initial population is random; generation is serial on the single
+	// rng, and only evaluation fans out.
+	pop, next := newPopulation(g.PopulationSize, length), newPopulation(g.PopulationSize, length)
+	for _, s := range pop {
+		for j := range s.genes {
+			s.genes[j] = rng.Intn(alphabet)
 		}
-		initial[i] = genes
 	}
-	for i, fit := range evaluateAll(initial) {
-		pop[i] = scored{genes: initial[i], fitness: fit}
-	}
+	evaluate(pop)
 
-	best := scored{fitness: math.Inf(-1)}
+	best := scored{genes: make([]int, length), fitness: math.Inf(-1)}
 	updateBest := func() bool {
 		improved := false
 		for _, s := range pop {
 			if s.fitness > best.fitness {
-				best = scored{genes: append([]int(nil), s.genes...), fitness: s.fitness}
+				copy(best.genes, s.genes)
+				best.fitness = s.fitness
 				improved = true
 			}
 		}
@@ -215,42 +218,41 @@ func (g GOPT) evolve(length, alphabet int, fitness func(genes []int) float64) (*
 	}
 	updateBest()
 
+	// odd takes the second child of the last pair when the offspring
+	// count is odd: it is bred, so every draw happens, and dropped.
+	odd := make([]int, length)
 	stagnant := 0
 	for gen := 0; gen < g.Generations; gen++ {
-		next := make([]scored, 0, g.PopulationSize)
-
 		// Elitism: carry the current top chromosomes unchanged (their
 		// fitness is known; they are not re-evaluated).
-		for _, e := range topK(pop, elitism) {
-			next = append(next, scored{genes: append([]int(nil), e.genes...), fitness: e.fitness})
+		for i, e := range topK(pop, elitism) {
+			copy(next[i].genes, e.genes)
+			next[i].fitness = e.fitness
 		}
 
 		// Breed the full offspring batch serially on the rng —
 		// selection only reads the previous generation's scores, so
 		// no offspring fitness is needed mid-generation — then fan
 		// the batch out to the worker pool.
-		offspring := make([][]int, 0, g.PopulationSize-len(next))
-		for len(next)+len(offspring) < g.PopulationSize {
-			c1 := append([]int(nil), tournament(pop, rng).genes...)
-			c2 := append([]int(nil), tournament(pop, rng).genes...)
+		for i := elitism; i < len(next); i += 2 {
+			c1, c2 := next[i].genes, odd
+			if i+1 < len(next) {
+				c2 = next[i+1].genes
+			}
+			copy(c1, tournament(pop, rng).genes)
+			copy(c2, tournament(pop, rng).genes)
 			if rng.Float64() < crossoverRate && length > 1 {
 				// One-point crossover: swap the tails after a random cut.
 				cut := 1 + rng.Intn(length-1)
-				for i := cut; i < length; i++ {
-					c1[i], c2[i] = c2[i], c1[i]
+				for j := cut; j < length; j++ {
+					c1[j], c2[j] = c2[j], c1[j]
 				}
 			}
 			mutate(c1, alphabet, mutationRate, rng)
 			mutate(c2, alphabet, mutationRate, rng)
-			offspring = append(offspring, c1)
-			if len(next)+len(offspring) < g.PopulationSize {
-				offspring = append(offspring, c2)
-			}
 		}
-		for i, fit := range evaluateAll(offspring) {
-			next = append(next, scored{genes: offspring[i], fitness: fit})
-		}
-		pop = next
+		evaluate(next[elitism:])
+		pop, next = next, pop
 		res.generations = gen + 1
 
 		if updateBest() {
@@ -267,6 +269,17 @@ func (g GOPT) evolve(length, alphabet int, fitness func(genes []int) float64) (*
 	return res, nil
 }
 
+// newPopulation returns size members with chromosomes of the given
+// length, carved from one backing array.
+func newPopulation(size, length int) []scored {
+	genes := make([]int, size*length)
+	pop := make([]scored, size)
+	for i := range pop {
+		pop[i].genes = genes[i*length : (i+1)*length : (i+1)*length]
+	}
+	return pop
+}
+
 // Worker-pool fabric instrumentation on the process-wide registry:
 // how wide the fitness-evaluation pool currently runs and how much of
 // the in-flight batch is still queued. Handles are resolved once at
@@ -278,32 +291,28 @@ var (
 		"fitness evaluations of the in-flight batch not yet completed")
 )
 
-// evalBatch scores genes[i] into out[i] over the shared by-index
-// worker pool (internal/pool): each result is written to its own
-// slot, so the output (and therefore the whole run) is independent of
-// scheduling and pool width.
-func evalBatch(genes [][]int, fitness func([]int) float64, workers int) []float64 {
-	out := make([]float64, len(genes))
-	if len(genes) == 0 {
-		return out
-	}
-	if workers > len(genes) {
-		workers = len(genes)
-	}
+// evalBatch scores every member of batch in place over the shared
+// worker pool (internal/pool), one fitness function per worker: worker
+// w scores members w, w+W, w+2W, … with fits[w], so each function runs
+// on one goroutine at a time, and each score lands in its own member,
+// so the outcome is independent of scheduling and pool width.
+func evalBatch(batch []scored, fits []func([]int) float64) {
+	workers := min(len(fits), len(batch))
 	if workers <= 1 {
 		evalWorkers.Set(1)
-		for i, g := range genes {
-			out[i] = fitness(g)
+		for i := range batch {
+			batch[i].fitness = fits[0](batch[i].genes)
 		}
-		return out
+		return
 	}
 	evalWorkers.Set(int64(workers))
-	evalQueueDepth.Set(int64(len(genes)))
-	pool.Run(workers, len(genes), func(i int) {
-		out[i] = fitness(genes[i])
-		evalQueueDepth.Dec()
+	evalQueueDepth.Set(int64(len(batch)))
+	pool.Run(workers, workers, func(w int) {
+		for i := w; i < len(batch); i += workers {
+			batch[i].fitness = fits[w](batch[i].genes)
+			evalQueueDepth.Dec()
+		}
 	})
-	return out
 }
 
 // topK returns the k fittest population members (k small; simple
