@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -30,6 +32,23 @@ func TestRunCSV(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[0], "K,") {
 		t.Errorf("csv header = %q", lines[0])
+	}
+}
+
+// TestRunAblationsGolden pins the quick ablation CSV byte for byte:
+// abl1's exact FLAT/GREEDY/DRP/CONTIG-DP/DRP-CDS costs and abl2's
+// replanning waits and churn.
+func TestRunAblationsGolden(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-ablations", "-quick", "-csv"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "ablations_quick.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); got != string(want) {
+		t.Errorf("ablations differ from testdata/ablations_quick.golden:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -82,12 +82,11 @@ func TestRenderHistogram(t *testing.T) {
 }
 
 // TestRunStatsDump: -stats appends the metrics registry, including
-// the allocator timings and (in cached mode) the cache accounting the
-// run just produced.
+// the allocator timings the run just produced. Clients are modelled
+// without a cache, so no cache_ series appears.
 func TestRunStatsDump(t *testing.T) {
 	var out bytes.Buffer
-	err := run([]string{"-n", "30", "-k", "3", "-cache-policy", "lru", "-cache-capacity", "50",
-		"-requests", "2000", "-stats"}, &out)
+	err := run([]string{"-n", "30", "-k", "3", "-requests", "2000", "-stats"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +95,13 @@ func TestRunStatsDump(t *testing.T) {
 		"---- metrics ----",
 		"# TYPE core_drp_seconds histogram",
 		"core_cds_refinements_total",
-		"# TYPE cache_wait_seconds histogram",
-		"cache_hits_total",
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("-stats output missing %q:\n%s", want, s)
 		}
+	}
+	if strings.Contains(s, "cache_") {
+		t.Errorf("-stats output has a cache_ series:\n%s", s)
 	}
 }
 
@@ -118,104 +118,6 @@ func TestRunErrors(t *testing.T) {
 		var out bytes.Buffer
 		if err := run(args, &out); err == nil {
 			t.Errorf("args %v should fail", args)
-		}
-	}
-}
-
-func TestRunPullMode(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{"-n", "30", "-k", "3", "-mode", "pull", "-requests", "500", "-rate", "3"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, want := range []string{"mode:             pull", "batch mean", "uplink messages"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("pull output missing %q:\n%s", want, s)
-		}
-	}
-}
-
-func TestRunHybridMode(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{"-n", "40", "-k", "4", "-mode", "hybrid", "-requests", "1000", "-rate", "4"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, want := range []string{"hybrid (3 push + 1 pull", "pushed items", "pull wait"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("hybrid output missing %q:\n%s", want, s)
-		}
-	}
-}
-
-func TestRunCachedMode(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{"-n", "30", "-k", "3", "-cache-policy", "cost", "-cache-capacity", "50", "-requests", "2000"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, want := range []string{"COST cache", "hit ratio", "miss wait"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("cached output missing %q:\n%s", want, s)
-		}
-	}
-}
-
-func TestRunModeErrors(t *testing.T) {
-	tests := [][]string{
-		{"-mode", "teleport"},
-		{"-mode", "pull", "-scheduler", "lifo"},
-		{"-mode", "hybrid", "-k", "1"},
-		{"-cache-policy", "belady", "-cache-capacity", "10"},
-		{"-cache-policy", "lru", "-cache-capacity", "0"},
-	}
-	for _, args := range tests {
-		var out bytes.Buffer
-		full := append([]string{"-n", "20", "-k", "2", "-requests", "50"}, args...)
-		if err := run(full, &out); err == nil {
-			t.Errorf("args %v should fail", args)
-		}
-	}
-}
-
-// TestRunRejectsIgnoredFlags: a flag the chosen mode does not read
-// is an error naming the flag, not silently dropped.
-func TestRunRejectsIgnoredFlags(t *testing.T) {
-	tests := []struct {
-		args []string
-		flag string
-	}{
-		{[]string{"-mode", "pull", "-cache-policy", "lru"}, "-cache-policy"},
-		{[]string{"-mode", "pull", "-alg", "vfk"}, "-alg"},
-		{[]string{"-mode", "pull", "-push-count", "5"}, "-push-count"},
-		{[]string{"-mode", "hybrid", "-cache-capacity", "10"}, "-cache-capacity"},
-		{[]string{"-push-count", "5"}, "-push-count"},
-		{[]string{"-scheduler", "mrf"}, "-scheduler"},
-		{[]string{"-cache-capacity", "10"}, "-cache-capacity"},
-		{[]string{"-cache-policy", "lru", "-cache-capacity", "10", "-hist"}, "-hist"},
-	}
-	for _, tc := range tests {
-		var out bytes.Buffer
-		full := append([]string{"-n", "20", "-k", "3", "-requests", "50"}, tc.args...)
-		err := run(full, &out)
-		if err == nil || !strings.Contains(err.Error(), tc.flag+" has no effect") {
-			t.Errorf("args %v: err = %v, want %s rejected", tc.args, err, tc.flag)
-		}
-	}
-	// The flags each mode reads still run.
-	for _, args := range [][]string{
-		{"-mode", "hybrid", "-push-count", "8", "-scheduler", "mrf"},
-		{"-mode", "pull", "-scheduler", "fcfs"},
-		{"-alg", "vfk", "-hist", "-cache-policy", ""},
-		{"-alg", "vfk", "-cache-policy", "lru", "-cache-capacity", "10"},
-	} {
-		var out bytes.Buffer
-		full := append([]string{"-n", "20", "-k", "3", "-requests", "50"}, args...)
-		if err := run(full, &out); err != nil {
-			t.Errorf("args %v: %v", args, err)
 		}
 	}
 }

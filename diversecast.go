@@ -29,13 +29,10 @@ import (
 	"diversecast/internal/airsim"
 	"diversecast/internal/baseline"
 	"diversecast/internal/broadcast"
-	"diversecast/internal/cache"
 	"diversecast/internal/core"
 	"diversecast/internal/experiments"
 	"diversecast/internal/gopt"
-	"diversecast/internal/hybrid"
 	"diversecast/internal/netcast"
-	"diversecast/internal/ondemand"
 	"diversecast/internal/workload"
 )
 
@@ -192,62 +189,6 @@ func ServeBroadcast(addr string, cfg BroadcastServerConfig) (*BroadcastServer, e
 
 // TuneBroadcast connects a client to a broadcast server channel.
 var TuneBroadcast = netcast.Tune
-
-// Client-side caching (Broadcast Disks, the paper's reference [1]).
-type (
-	// CachePolicy ranks cache eviction victims (LRU, LFU, PIX, COST).
-	CachePolicy = cache.Policy
-	// ClientCache is a size-bounded client cache.
-	ClientCache = cache.Cache
-	// CacheSimResult summarizes a cache-aware client simulation.
-	CacheSimResult = cache.SimResult
-)
-
-// CachePolicies returns one instance of every built-in cache policy.
-func CachePolicies() []CachePolicy { return cache.Policies() }
-
-// NewClientCache builds an empty client cache with the given capacity
-// in size units.
-func NewClientCache(policy CachePolicy, capacity float64) (*ClientCache, error) {
-	return cache.New(policy, capacity)
-}
-
-// SimulateWithCache replays a trace for a caching client: hits are
-// free, misses wait on the broadcast and admit the item.
-func SimulateWithCache(a *Allocation, p *Program, c *ClientCache, trace []Request) (*CacheSimResult, error) {
-	return cache.Simulate(a, p, c, trace)
-}
-
-// On-demand (pull) broadcasting and the hybrid push/pull architecture.
-type (
-	// OnDemandScheduler picks which pending item a pull channel airs
-	// next (FCFS, MRF, RxW, RxW/S).
-	OnDemandScheduler = ondemand.Scheduler
-	// OnDemandResult summarizes a pull-mode simulation.
-	OnDemandResult = ondemand.Result
-	// HybridConfig parameterizes a hybrid push/pull system.
-	HybridConfig = hybrid.Config
-	// HybridPlan is a compiled hybrid system.
-	HybridPlan = hybrid.Plan
-	// HybridResult summarizes a hybrid simulation.
-	HybridResult = hybrid.Result
-)
-
-// OnDemandSchedulers returns one instance of every built-in pull
-// scheduler.
-func OnDemandSchedulers() []OnDemandScheduler { return ondemand.Schedulers() }
-
-// SimulateOnDemand runs a pull-mode broadcast channel over a request
-// trace under the given scheduler.
-func SimulateOnDemand(db *Database, trace []Request, sched OnDemandScheduler, bandwidth float64) (*OnDemandResult, error) {
-	return ondemand.Run(db, trace, sched, bandwidth)
-}
-
-// BuildHybrid compiles a hybrid plan pushing the pushCount hottest
-// items and pulling the rest.
-func BuildHybrid(db *Database, cfg HybridConfig, pushCount int) (*HybridPlan, error) {
-	return hybrid.Build(db, cfg, pushCount)
-}
 
 // Adaptation: the server-side loop of the paper's Figure 1
 // architecture (collect access patterns → update the program).

@@ -166,86 +166,6 @@ func TestPublicExperimentDispatch(t *testing.T) {
 	}
 }
 
-func TestPublicOnDemandAndHybrid(t *testing.T) {
-	db, err := diversecast.GenerateWorkload(diversecast.WorkloadConfig{
-		N: 40, Theta: 1.0, Phi: 2, Seed: 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace, err := diversecast.GenerateTrace(db, diversecast.TraceConfig{
-		Requests: 2000, Rate: 5, Seed: 21,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scheds := diversecast.OnDemandSchedulers()
-	if len(scheds) != 4 {
-		t.Fatalf("%d schedulers", len(scheds))
-	}
-	res, err := diversecast.SimulateOnDemand(db, trace, scheds[2], diversecast.PaperBandwidth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Requests != len(trace) {
-		t.Fatalf("served %d", res.Requests)
-	}
-	plan, err := diversecast.BuildHybrid(db, diversecast.HybridConfig{
-		PushChannels: 2, Bandwidth: diversecast.PaperBandwidth,
-	}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hres, err := plan.Evaluate(trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hres.Push.N+hres.Pull.N != len(trace) {
-		t.Fatal("hybrid lost requests")
-	}
-}
-
-func TestPublicCache(t *testing.T) {
-	db, err := diversecast.GenerateWorkload(diversecast.WorkloadConfig{
-		N: 30, Theta: 1.0, Phi: 1.5, Seed: 22,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	alloc, err := diversecast.NewDRPCDS().Allocate(db, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := diversecast.BuildProgram(alloc, diversecast.PaperBandwidth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace, err := diversecast.GenerateTrace(db, diversecast.TraceConfig{
-		Requests: 5000, Rate: 30, Seed: 23,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := diversecast.NewClientCache(diversecast.CachePolicies()[2], 40) // PIX
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := diversecast.SimulateWithCache(alloc, prog, c, trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.HitRatio <= 0 {
-		t.Fatal("cache never hit")
-	}
-	noCache := diversecast.WaitingTime(alloc, diversecast.PaperBandwidth)
-	if res.Wait.Mean >= noCache {
-		t.Fatalf("cached wait %v not below analytic no-cache wait %v", res.Wait.Mean, noCache)
-	}
-}
-
-// The facade entry points below have no other caller in the module;
-// each test pins one property a user of that entry point relies on.
-
 func TestPublicExhaustiveBoundsDRPCDS(t *testing.T) {
 	db, err := diversecast.GenerateWorkload(diversecast.WorkloadConfig{
 		N: 8, Theta: 0.8, Phi: 2, Seed: 5,

@@ -107,9 +107,8 @@ func deferredWork(m map[int]float64) []func() {
 	return fns
 }
 
-// Seed floatdet-2 (internal/analysis/testdata/mutations): the hybrid
-// planner sums the pushed items' mass over its position→index map
-// instead of the sorted push positions. No test notices the low bits.
+// Flagged: a key-only range still sums in map order — here a mass
+// summed over a position→index map instead of sorted positions.
 func pushMass(pushIndex map[int]int, freq []float64) float64 {
 	var mass float64
 	for pos := range pushIndex {

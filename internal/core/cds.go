@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -38,14 +39,20 @@ const (
 // the best (see DESIGN.md §2). Both strategies select bit-for-bit
 // identical moves.
 type CDS struct {
-	// MaxMoves bounds the number of applied moves; 0 means no bound
-	// beyond Epsilon-driven termination. Cost strictly decreases by
-	// more than Epsilon per move and is bounded below by zero, so
-	// termination is guaranteed either way.
+	// MaxMoves bounds the number of applied moves; 0 means no bound.
+	// None is needed for termination: the group sums are exact, so
+	// the cost is a deterministic function of the allocation; every
+	// applied move must lower it strictly or the refinement ends with
+	// ErrNoProgress; and the allocations are finitely many, so none
+	// repeats.
 	MaxMoves int
-	// Epsilon is the minimum Δc for a move to be applied, guarding
-	// against floating-point non-termination. Zero selects a default
-	// scaled to the problem (1e-12 × initial cost, floored at 1e-300).
+	// Epsilon is the minimum Δc for a move to be applied. Zero selects
+	// a default scaled to the problem (1e-12 × initial cost, floored
+	// at 1e-300). The float cost sum over K groups errs by at most
+	// about (K+2)·2⁻⁵³ of the cost, so under the default a move whose
+	// exact Eq. (4) reduction exceeds ε cannot trip the ErrNoProgress
+	// check while 2(K+2)·2⁻⁵³ < 1e-12, that is for K ≤ 4,500. A
+	// caller-set Epsilon below the cost sum's rounding can.
 	Epsilon float64
 	// Strategy picks the move-selection engine. The zero value is
 	// StrategyIncremental: the differential trace tests pin it to the
@@ -99,6 +106,11 @@ func NewCDS() *CDS { return &CDS{} }
 // Name implements Refiner.
 func (*CDS) Name() string { return "CDS" }
 
+// ErrNoProgress ends a refinement whose applied move did not lower
+// the exact cost: the selector claimed a Δc above Epsilon that the
+// recomputed group costs do not bear out.
+var ErrNoProgress = errors.New("core: CDS move did not lower the cost")
+
 // Move records one applied CDS move for tracing (the paper's Table 4).
 type Move struct {
 	Pos        int     // database position of the moved item
@@ -110,14 +122,14 @@ type Move struct {
 
 // Refine implements Refiner. The input allocation is not mutated.
 func (c *CDS) Refine(a *Allocation) (*Allocation, error) {
-	out, _, err := c.refine(a, false)
+	out, _, err := c.refine(a, false, nil)
 	return out, err
 }
 
 // RefineWithTrace is Refine but also returns every applied move in
 // order, used by the paper-table reproduction and by tests.
 func (c *CDS) RefineWithTrace(a *Allocation) (*Allocation, []Move, error) {
-	return c.refine(a, true)
+	return c.refine(a, true, nil)
 }
 
 // moveSelector finds the best single-item move for the current
@@ -149,7 +161,9 @@ type selStats struct {
 	visited int64
 }
 
-func (c *CDS) refine(a *Allocation, wantTrace bool) (*Allocation, []Move, error) {
+// refine runs the descent. newSel, when non-nil, builds the selector
+// in place of c.Strategy's, so tests can drive the loop with a double.
+func (c *CDS) refine(a *Allocation, wantTrace bool, newSel func(*Allocation, []GroupAgg) moveSelector) (*Allocation, []Move, error) {
 	if err := a.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("core: CDS input: %w", err)
 	}
@@ -172,10 +186,12 @@ func (c *CDS) refine(a *Allocation, wantTrace bool) (*Allocation, []Move, error)
 	var sel moveSelector
 	// kernel names the member scan the refinement runs, for the trace.
 	kernel := "go"
-	switch c.Strategy {
-	case StrategyNaive:
+	switch {
+	case newSel != nil:
+		sel = newSel(cur, agg)
+	case c.Strategy == StrategyNaive:
 		sel = &naiveSelector{cur: cur, agg: agg}
-	case StrategyIncremental:
+	case c.Strategy == StrategyIncremental:
 		inc := newIncrementalSelector(cur, agg)
 		if inc.arr != nil {
 			kernel = "avx2"
@@ -188,6 +204,9 @@ func (c *CDS) refine(a *Allocation, wantTrace bool) (*Allocation, []Move, error)
 	start := timeNow()
 	var moves []Move
 	applied := 0
+	// stall is the move that failed to lower the cost, if stalled.
+	var stall Move
+	stalled := false
 
 	tr := c.Tracer
 	if tr == nil {
@@ -245,9 +264,14 @@ func (c *CDS) refine(a *Allocation, wantTrace bool) (*Allocation, []Move, error)
 		}
 
 		applied++
+		best.CostBefore = cost
+		best.CostAfter = newCost
+		// The negated compare also stops on a NaN cost.
+		if !(newCost < cost) {
+			stall, stalled = best, true
+			break
+		}
 		if wantTrace {
-			best.CostBefore = cost
-			best.CostAfter = newCost
 			//diverselint:ignore loopalloc move-history append runs only when the caller asked for a trace; the no-trace refinement path never reaches it
 			moves = append(moves, best)
 		}
@@ -260,6 +284,14 @@ func (c *CDS) refine(a *Allocation, wantTrace bool) (*Allocation, []Move, error)
 	cdsCandidatesRecomputed.Add(st.recomputed)
 	cdsPassCells.Add(st.visited)
 	cdsSeconds.Observe(timeNow().Sub(start).Seconds())
+	if stalled {
+		if span.Active() {
+			span.End(trace.Int("moves", int64(applied)), trace.Float("cost_after", stall.CostAfter),
+				trace.Str("outcome", "no_progress"))
+		}
+		return nil, nil, fmt.Errorf("%w: item %d from channel %d to %d claimed Δc %g, cost %g -> %g",
+			ErrNoProgress, stall.Pos, stall.From, stall.To, stall.Reduction, stall.CostBefore, stall.CostAfter)
+	}
 	if span.Active() {
 		span.End(trace.Int("moves", int64(applied)), trace.Float("cost_after", cost))
 	}

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
+
+	"diversecast/internal/obs/trace"
 )
 
 func TestCDSNeverIncreasesCost(t *testing.T) {
@@ -235,6 +238,54 @@ func TestCDSMaxMoves(t *testing.T) {
 	}
 	if len(moves) != 2 {
 		t.Fatalf("MaxMoves=2 applied %d moves", len(moves))
+	}
+}
+
+// stuckSelector claims a large Δc for moving item 0 to the next
+// channel, whatever that move does to the cost: a selector handing
+// out a stale bound as exact.
+type stuckSelector struct{ cur *Allocation }
+
+func (s *stuckSelector) next() (Move, bool) {
+	from := s.cur.ChannelOf(0)
+	return Move{Pos: 0, From: from, To: (from + 1) % s.cur.K(), Reduction: 1}, true
+}
+
+func (*stuckSelector) applied(Move) {}
+
+func (s *stuckSelector) stats() selStats { return selStats{} }
+
+// TestCDSFailsClosedOnNoProgress: from a local optimum every move
+// raises the cost, so a selector that claims otherwise must end the
+// refinement with ErrNoProgress after one applied move, on both the
+// plain and the traced path, instead of applying moves forever.
+func TestCDSFailsClosedOnNoProgress(t *testing.T) {
+	opt, err := NewDRPCDS().Allocate(PaperExampleDatabase(), PaperExampleK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wantTrace := range []bool{false, true} {
+		tr := trace.New(trace.Config{Capacity: 64, Clock: &trace.ManualClock{}})
+		c := &CDS{Tracer: tr}
+		out, moves, err := c.refine(opt, wantTrace, func(cur *Allocation, _ []GroupAgg) moveSelector {
+			return &stuckSelector{cur: cur}
+		})
+		if !errors.Is(err, ErrNoProgress) {
+			t.Fatalf("wantTrace=%v: err = %v, want ErrNoProgress", wantTrace, err)
+		}
+		if out != nil || moves != nil {
+			t.Errorf("wantTrace=%v: got allocation %v and %d moves with the error", wantTrace, out, len(moves))
+		}
+		if n := len(tr.Snapshot().Named(spanCDSMove)); n != 1 {
+			t.Errorf("wantTrace=%v: %d moves applied, want 1", wantTrace, n)
+		}
+		refine := tr.Snapshot().Named(spanCDSRefine)
+		if len(refine) != 1 {
+			t.Fatalf("wantTrace=%v: %d cds_refine spans", wantTrace, len(refine))
+		}
+		if outcome, _ := refine[0].Attr("outcome"); outcome.Str != "no_progress" {
+			t.Errorf("wantTrace=%v: cds_refine outcome %q, want no_progress", wantTrace, outcome.Str)
+		}
 	}
 }
 

@@ -4,12 +4,8 @@ import (
 	"fmt"
 
 	"diversecast/internal/adapt"
-	"diversecast/internal/airsim"
 	"diversecast/internal/baseline"
-	"diversecast/internal/broadcast"
 	"diversecast/internal/core"
-	"diversecast/internal/hybrid"
-	"diversecast/internal/ondemand"
 	"diversecast/internal/stats"
 	"diversecast/internal/workload"
 )
@@ -20,7 +16,7 @@ import (
 
 // AblationIDs lists the extra experiments, regenerable via Run like
 // the paper figures.
-func AblationIDs() []string { return []string{"abl1", "abl2", "abl3"} }
+func AblationIDs() []string { return []string{"abl1", "abl2"} }
 
 // ablationAllocators is the comparison set of abl1: the paper's
 // pipeline stages against the contiguity upper bound and the naive
@@ -150,109 +146,4 @@ func Ablation2(c Config) (*Figure, error) {
 		fig.Rows = append(fig.Rows, row)
 	}
 	return fig, nil
-}
-
-// Ablation3 compares the three dissemination modes over the aggregate
-// request rate: pure push (DRP-CDS over all channels — its wait is
-// load-independent), pure on-demand (RxW over the same total
-// bandwidth), and a hybrid (one channel peeled off for pull, push set
-// fixed at the items holding ~85% of the demand). The series exposes
-// where each architecture wins.
-func Ablation3(c Config) (*Figure, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	names := []string{"PUSH", "ON-DEMAND", "HYBRID"}
-	fig := &Figure{
-		ID:         "abl3",
-		Title:      "dissemination modes vs. aggregate request rate",
-		XLabel:     "req/s",
-		YLabel:     "average waiting time (s)",
-		Algorithms: names,
-	}
-	rates := []float64{0.05, 0.2, 1, 5, 20}
-	const requests = 4000
-
-	for _, rate := range rates {
-		accs := map[string]*stats.Accumulator{}
-		for _, n := range names {
-			accs[n] = &stats.Accumulator{}
-		}
-		for _, seed := range c.Seeds {
-			db, err := (workload.Config{N: c.BaseN, Theta: c.BaseTheta, Phi: c.BasePhi, Seed: seed}).Generate()
-			if err != nil {
-				return nil, err
-			}
-			trace, err := workload.GenerateTrace(db, workload.TraceConfig{
-				Requests: requests, Rate: rate, Seed: seed + 1,
-			})
-			if err != nil {
-				return nil, err
-			}
-
-			// Pure push over all K channels.
-			alloc, err := core.NewDRPCDS().Allocate(db, c.BaseK)
-			if err != nil {
-				return nil, err
-			}
-			prog, err := broadcast.Build(alloc, c.Bandwidth, broadcast.ByPosition)
-			if err != nil {
-				return nil, err
-			}
-			pushRes, err := airsim.Measure(prog, trace)
-			if err != nil {
-				return nil, err
-			}
-			accs["PUSH"].Add(pushRes.Wait.Mean)
-
-			// Pure on-demand with the same total bandwidth on one fat
-			// channel.
-			odRes, err := ondemand.Run(db, trace, ondemand.RxW{}, c.Bandwidth*float64(c.BaseK))
-			if err != nil {
-				return nil, err
-			}
-			accs["ON-DEMAND"].Add(odRes.Wait.Mean)
-
-			// Hybrid: K−1 push channels + 1 pull channel; push the
-			// hottest items covering ~85% of demand.
-			cut := massCut(db, 0.85)
-			if cut < c.BaseK-1 {
-				cut = c.BaseK - 1
-			}
-			if cut >= db.Len() {
-				cut = db.Len() - 1
-			}
-			plan, err := hybrid.Build(db, hybrid.Config{
-				PushChannels: c.BaseK - 1,
-				Bandwidth:    c.Bandwidth,
-			}, cut)
-			if err != nil {
-				return nil, err
-			}
-			hybRes, err := plan.Evaluate(trace)
-			if err != nil {
-				return nil, err
-			}
-			accs["HYBRID"].Add(hybRes.Wait.Mean)
-		}
-		row := Row{X: rate, Values: map[string]float64{}}
-		for _, n := range names {
-			row.Values[n] = accs[n].Mean()
-		}
-		fig.Rows = append(fig.Rows, row)
-	}
-	return fig, nil
-}
-
-// massCut returns the smallest prefix length of the frequency-sorted
-// items whose demand mass reaches the target fraction.
-func massCut(db *core.Database, target float64) int {
-	var mass float64
-	for i, pos := range db.ByFreq() {
-		mass += db.Item(pos).Freq
-		if mass >= target {
-			return i + 1
-		}
-	}
-	return db.Len()
 }

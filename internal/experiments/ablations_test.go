@@ -49,7 +49,7 @@ func TestAblation2Shape(t *testing.T) {
 
 func TestAblationIDsDispatch(t *testing.T) {
 	ids := AblationIDs()
-	if len(ids) != 3 {
+	if len(ids) != 2 {
 		t.Fatalf("AblationIDs = %v", ids)
 	}
 	cfg := Quick()
@@ -61,36 +61,6 @@ func TestAblationIDsDispatch(t *testing.T) {
 		}
 		if fig.ID != id {
 			t.Errorf("figure ID %q, want %q", fig.ID, id)
-		}
-	}
-}
-
-func TestAblation3Shape(t *testing.T) {
-	fig := quickFig(t, "abl3")
-	if len(fig.Rows) != 5 {
-		t.Fatalf("expected 5 rate points, got %d", len(fig.Rows))
-	}
-	lowest := fig.Rows[0]
-	highest := fig.Rows[len(fig.Rows)-1]
-	// Push is load-independent: its wait barely moves across rates.
-	if rel := highest.Values["PUSH"]/lowest.Values["PUSH"] - 1; rel > 0.1 || rel < -0.1 {
-		t.Errorf("push wait moved %.1f%% with load; should be flat", 100*rel)
-	}
-	// At very low load on-demand crushes push.
-	if !(lowest.Values["ON-DEMAND"] < lowest.Values["PUSH"]/3) {
-		t.Errorf("low load: on-demand (%v) should crush push (%v)",
-			lowest.Values["ON-DEMAND"], lowest.Values["PUSH"])
-	}
-	// On-demand wait grows with load.
-	if !(highest.Values["ON-DEMAND"] > lowest.Values["ON-DEMAND"]) {
-		t.Error("on-demand wait did not grow with load")
-	}
-	// Hybrid stays at or below pure push at every rate (the pull
-	// channel only carries the cold tail).
-	for _, row := range fig.Rows {
-		if row.Values["HYBRID"] > row.Values["PUSH"]*1.15 {
-			t.Errorf("rate %v: hybrid (%v) far above push (%v)",
-				row.X, row.Values["HYBRID"], row.Values["PUSH"])
 		}
 	}
 }

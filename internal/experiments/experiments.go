@@ -383,10 +383,8 @@ func Run(id string, c Config) (*Figure, error) {
 		return Ablation1(c)
 	case "abl2":
 		return Ablation2(c)
-	case "abl3":
-		return Ablation3(c)
 	default:
-		return nil, fmt.Errorf("experiments: unknown figure %q (have fig2..fig7, abl1..abl3)", id)
+		return nil, fmt.Errorf("experiments: unknown figure %q (have fig2..fig7, abl1, abl2)", id)
 	}
 }
 

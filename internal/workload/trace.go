@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"diversecast/internal/core"
 	"diversecast/internal/dist"
@@ -70,10 +69,4 @@ func EmpiricalFrequencies(db *core.Database, trace []Request) []float64 {
 		}
 	}
 	return counts
-}
-
-// SortedByTime reports whether the trace is in non-decreasing time
-// order, an invariant the simulators rely on.
-func SortedByTime(trace []Request) bool {
-	return sort.SliceIsSorted(trace, func(i, j int) bool { return trace[i].Time < trace[j].Time })
 }

@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -121,7 +123,7 @@ func TestGenerateTrace(t *testing.T) {
 	if len(trace) != 50000 {
 		t.Fatalf("trace length %d", len(trace))
 	}
-	if !SortedByTime(trace) {
+	if !slices.IsSortedFunc(trace, func(a, b Request) int { return cmp.Compare(a.Time, b.Time) }) {
 		t.Fatal("trace not sorted by time")
 	}
 	// Empirical request frequencies should track the profile.
