@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Allocation assigns every item of a database to one of K broadcast
@@ -14,11 +13,16 @@ type Allocation struct {
 	db      *Database
 	k       int
 	channel []int // channel[pos] = channel index in [0,K)
-	// members[c] lists the database positions on channel c in
-	// ascending order; maintained by move() so per-channel scans
-	// (CDS move selection, channel waiting time) avoid the O(N)
-	// membership filter per channel.
+	// members[c] lists the database positions on channel c, so
+	// per-channel scans (CDS move selection, channel waiting time)
+	// avoid the O(N) membership filter per channel. The lists are in
+	// ascending order except inside a running CDS refinement, whose
+	// moves leave them in any order and which sorts them again before
+	// it returns (sortMembers).
 	members [][]int
+	// slot[pos] is pos's index in members[channel[pos]]: move finds
+	// the item it takes out of a list without a search.
+	slot []int32
 	// sums holds every channel's F and Z as exact fixed-point sums in
 	// db's frame (exactsum.go): channel c's F in sums[2cL : 2cL+L] and
 	// its Z in the next L limbs. move keeps them in step.
@@ -56,9 +60,8 @@ func NewAllocation(db *Database, k int, channel []int) (*Allocation, error) {
 	return a, nil
 }
 
-// buildMembers (re)derives the per-channel position lists from the
-// channel vector. Appending in ascending pos order keeps each list
-// sorted.
+// buildMembers (re)derives the per-channel position lists and the
+// slot index from the channel vector.
 //
 //diverselint:coldpath O(N+K) reconstruction at allocation build time; per-move updates go through move
 func (a *Allocation) buildMembers() {
@@ -70,8 +73,23 @@ func (a *Allocation) buildMembers() {
 	for c, n := range counts {
 		a.members[c] = make([]int, 0, n)
 	}
+	a.slot = make([]int32, len(a.channel))
+	a.sortMembers()
+}
+
+// sortMembers refills every position list from the channel vector in
+// ascending position order, and the slot index with it, in O(N+K).
+// Each list regains its length, so the refill stays inside the lists'
+// capacity and allocates nothing.
+func (a *Allocation) sortMembers() {
+	for c := range a.members {
+		a.members[c] = a.members[c][:0]
+	}
 	for pos, c := range a.channel {
-		a.members[c] = append(a.members[c], pos)
+		m := a.members[c]
+		a.slot[pos] = int32(len(m))
+		a.members[c] = m[:len(m)+1]
+		a.members[c][len(m)] = pos
 	}
 }
 
@@ -110,6 +128,8 @@ func (a *Allocation) Groups() [][]int {
 // must not be modified and is only valid until the allocation is next
 // mutated. Hot per-channel loops (CDS scans, adaptive replanning) use
 // it to avoid both the O(N) membership filter and a per-call copy.
+// Inside a running CDS refinement, and only there, the view lists the
+// positions in the order its moves left them.
 func (a *Allocation) ChannelPositions(c int) []int { return a.members[c] }
 
 // GroupAgg is the per-channel aggregate state used throughout the
@@ -154,32 +174,33 @@ func (a *Allocation) Clone() *Allocation {
 	for c, m := range a.members {
 		members[c] = append(make([]int, 0, len(m)), m...)
 	}
+	slot := append([]int32(nil), a.slot...)
 	sums := append([]uint64(nil), a.sums...)
-	return &Allocation{db: a.db, k: a.k, channel: channel, members: members, sums: sums}
+	return &Allocation{db: a.db, k: a.k, channel: channel, members: members, slot: slot, sums: sums}
 }
 
-// move reassigns the item at database position pos to channel dest,
-// keeping the per-channel position lists sorted, O(log n) search plus
-// an O(n) shift within the two touched lists (n = group size), and the
-// two channels' exact sums current in O(1).
-// It is unexported: external mutation goes through CDS or explicit
-// reconstruction, keeping Allocation effectively immutable to callers.
-func (a *Allocation) move(pos, dest int) {
+// move reassigns the item at database position pos to channel dest in
+// O(1): the source list loses pos by swap-remove (its last member
+// moves into the freed slot), the destination list appends it, and the
+// two channels' exact sums follow. It returns the slot pos left, which
+// the source's last member now fills unless pos was that member. The
+// lists are then out of ascending order, so only CDS's refinement,
+// which sorts them again before it returns, and tests call it: outside
+// a refinement the Allocation stays immutable to callers.
+func (a *Allocation) move(pos, dest int) (slot int) {
 	src := a.channel[pos]
 	if src == dest {
-		return
+		return int(a.slot[pos])
 	}
 	a.channel[pos] = dest
-	m := a.members[src]
-	i := sort.SearchInts(m, pos)
-	a.members[src] = append(m[:i], m[i+1:]...)
-	m = a.members[dest]
-	j := sort.SearchInts(m, pos)
-	m = append(m, 0)
-	copy(m[j+1:], m[j:])
-	m[j] = pos
-	a.members[dest] = m
+	m, i := a.members[src], int(a.slot[pos])
+	last := m[len(m)-1]
+	m[i], a.slot[last] = last, int32(i)
+	a.members[src] = m[:len(m)-1]
+	a.slot[pos] = int32(len(a.members[dest]))
+	a.members[dest] = append(a.members[dest], pos)
 	a.moveSums(pos, src, dest)
+	return i
 }
 
 // Validate re-checks the structural invariants. It is cheap and used by
@@ -197,7 +218,8 @@ func (a *Allocation) Validate() error {
 		}
 	}
 	// The position index must mirror the channel vector: every list
-	// sorted, every entry on the right channel, N entries in total.
+	// sorted, every entry on the right channel at the slot the slot
+	// index names, N entries in total.
 	total := 0
 	for c, m := range a.members {
 		for i, pos := range m {
@@ -209,6 +231,9 @@ func (a *Allocation) Validate() error {
 			}
 			if a.channel[pos] != c {
 				return fmt.Errorf("core: position %d indexed on channel %d but assigned to %d", pos, c, a.channel[pos])
+			}
+			if int(a.slot[pos]) != i {
+				return fmt.Errorf("core: position %d at slot %d of channel %d but indexed at slot %d", pos, i, c, a.slot[pos])
 			}
 		}
 		total += len(m)

@@ -47,6 +47,12 @@ func BenchmarkDRPOverK(b *testing.B) {
 	}
 }
 
+// BenchmarkCDSRefine times full refinements to the local optimum. The
+// small cells refine random catalogs at K=8 from DRP and random starts;
+// the table5 cells refine DRP starts of the Table 5 shaped catalog
+// (diverseDatabase seed 1, N=10⁴, θ = 0.8, Φ = 2) at K=8 and K=64, the
+// plans perfbench's plan-narrow and plan-wide refine and
+// TestCDSWorkCounts counts. -short skips the table5 cells.
 func BenchmarkCDSRefine(b *testing.B) {
 	for _, n := range []int{60, 120, 240} {
 		db := benchDB(b, n)
@@ -67,6 +73,24 @@ func BenchmarkCDSRefine(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := NewCDS().Refine(random); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	if testing.Short() {
+		return
+	}
+	db := diverseDatabase(b, 1, 10000, 0.8, 2)
+	for _, k := range []int{8, 64} {
+		drp, err := NewDRP().Allocate(db, k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("from-DRP/table5/N=10000/K=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewCDS().Refine(drp); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -138,10 +138,11 @@ func (c *CDS) RefineWithTrace(a *Allocation) (*Allocation, []Move, error) {
 // database position within the group, destinations by channel index;
 // strictly-larger-wins tie-break) and whether any strictly positive
 // candidate exists. applied notifies the selector after a move has
-// been applied and the aggregates updated.
+// been applied and the aggregates updated; slot is the index the moved
+// item left in its source group's position list, as move returns it.
 type moveSelector interface {
 	next() (Move, bool)
-	applied(Move)
+	applied(m Move, slot int)
 	// stats reports the selector's work counters, flushed to obs
 	// counters once per refinement.
 	stats() selStats
@@ -159,6 +160,14 @@ type selStats struct {
 	// the scalar loop visit the same cells, so the count is the same
 	// on every host.
 	visited int64
+	// rescanned counts members exact cell scans read a second time,
+	// comparing positions, because the first scan found its maximum
+	// possibly tied.
+	rescanned int64
+	// relayouts counts the AVX2 member windows' layouts after the
+	// first, each when a group outgrows its room; 0 with the scalar
+	// loop.
+	relayouts int64
 }
 
 // refine runs the descent. newSel, when non-nil, builds the selector
@@ -252,13 +261,13 @@ func (c *CDS) refine(a *Allocation, wantTrace bool, newSel func(*Allocation, []G
 		// CostBefore/CostAfter are exactly Cost(cur) rather than
 		// drifting away from it one subtraction at a time over long
 		// refinements.
-		cur.move(best.Pos, best.To)
+		slot := cur.move(best.Pos, best.To)
 		agg[best.From], agg[best.To] = cur.groupAgg(best.From), cur.groupAgg(best.To)
 		var newCost float64
 		for _, g := range agg {
 			newCost += g.Cost()
 		}
-		sel.applied(best)
+		sel.applied(best, slot)
 		if mv.Active() {
 			mv.End(trace.Float("cost_after", newCost))
 		}
@@ -285,6 +294,7 @@ func (c *CDS) refine(a *Allocation, wantTrace bool, newSel func(*Allocation, []G
 	cdsPassCells.Add(st.visited)
 	cdsSeconds.Observe(timeNow().Sub(start).Seconds())
 	if stalled {
+		cdsNoProgress.Inc()
 		if span.Active() {
 			span.End(trace.Int("moves", int64(applied)), trace.Float("cost_after", stall.CostAfter),
 				trace.Str("outcome", "no_progress"))
@@ -295,13 +305,18 @@ func (c *CDS) refine(a *Allocation, wantTrace bool, newSel func(*Allocation, []G
 	if span.Active() {
 		span.End(trace.Int("moves", int64(applied)), trace.Float("cost_after", cost))
 	}
+	// The moves left the position lists in any order; callers see them
+	// ascending.
+	cur.sortMembers()
 	return cur, moves, nil
 }
 
 // naiveSelector is the paper's literal selection: every (item,
-// destination) pair is re-evaluated each iteration. The per-channel
-// position lists spare it the former O(K·N) membership filter, but
-// the scan itself remains O(K·N) evaluations.
+// destination) pair is re-evaluated each iteration, O(K·N)
+// evaluations. It finds each group's members with the paper's O(K·N)
+// filter, a walk of the channel vector in position order, so its scan
+// order does not depend on the position lists, which the refinement's
+// moves leave unsorted.
 type naiveSelector struct {
 	cur   *Allocation
 	agg   []GroupAgg
@@ -319,7 +334,10 @@ func (s *naiveSelector) next() (Move, bool) {
 	best := Move{Reduction: 0}
 	found := false
 	for p := 0; p < k; p++ {
-		for _, pos := range s.cur.ChannelPositions(p) {
+		for pos, c := range s.cur.channel {
+			if c != p {
+				continue
+			}
 			it := db.Item(pos)
 			for q := 0; q < k; q++ {
 				if q == p {
@@ -336,7 +354,7 @@ func (s *naiveSelector) next() (Move, bool) {
 	return best, found
 }
 
-func (s *naiveSelector) applied(Move) {}
+func (s *naiveSelector) applied(Move, int) {}
 
 func (s *naiveSelector) stats() selStats { return selStats{scans: s.scans} }
 
@@ -398,6 +416,7 @@ type incrementalSelector struct {
 	scans      int64
 	recomputed int64
 	visited    int64
+	rescanned  int64
 }
 
 // anchor is the state of a cell's last exact scan: the aggregate
@@ -491,34 +510,31 @@ func (s *incrementalSelector) bound(c int, ap, aq GroupAgg, l rowLim) float64 {
 	return b + math.Abs(b)*boundRel
 }
 
-// refresh recomputes cell c of row p exactly: every member of D_p
-// toward the cell's destination, visited in ascending position, where
-// only a strictly larger Δc displaces the running maximum. The maximum
-// runs over orderKeys, not floats: the compiler turns an integer
-// running max into conditional moves, while a float one stays a branch
-// that mispredicts whenever database position correlates with Δc. With
-// member arrays the scan runs in the AVX2 kernel instead, which
-// returns the same maximum and first member (DESIGN.md §2). The cell is
-// anchored at the scan: its maximum and the differences it ran at.
+// refresh recomputes cell c of row p exactly: the maximum Δc of D_p's
+// members toward the cell's destination and the smallest position
+// attaining it, the member the naive scan meets first. The members come
+// in their list's order, which moves leave unsorted, so the scan
+// (maxFirst, or with member arrays the AVX2 kernel) reports whether its
+// maximum may be tied; only then does a second scan compare positions
+// (maxByPosition). DESIGN.md §2 proves the pair equal to the naive
+// scan's choice. The cell is anchored at the scan: its maximum and the
+// differences it ran at.
 func (s *incrementalSelector) refresh(c, p int) {
 	ap, aq := s.agg[p], s.agg[c-p*s.k]
-	// MoveReduction with the aggregate differences and the 2·f·z term
-	// hoisted; same expression, same bits.
 	dz, df := ap.Z-aq.Z, ap.F-aq.F
-	best, bestPos := orderKey(math.Inf(-1)), int32(-1)
-	members, fzt := s.cur.ChannelPositions(p), s.fzt
+	members := s.cur.ChannelPositions(p)
 	s.recomputed += int64(len(members))
+	var best int64
+	var bestPos int32
+	var tied bool
 	if s.arr != nil {
-		if key, at := s.arr.scan(p, len(members), dz, df); at >= 0 {
-			best, bestPos = key, int32(members[at])
-		}
+		best, bestPos, tied = s.arr.scan(p, members, s.fzt, dz, df)
 	} else {
-		for _, pos := range members {
-			it := fzt[pos]
-			if key := orderKey(it.f*dz + it.z*df - it.tfz); key > best {
-				best, bestPos = key, int32(pos)
-			}
-		}
+		best, bestPos, tied = maxFirst(members, s.fzt, dz, df)
+	}
+	if tied {
+		s.rescanned += int64(len(members))
+		best, bestPos = maxByPosition(members, s.fzt, dz, df)
 	}
 	s.dc[c], s.pos[c] = keyFloat(best), bestPos
 	s.anc[c] = anchor{v: s.dc[c], dz: dz, df: df}
@@ -651,13 +667,13 @@ func (s *incrementalSelector) next() (Move, bool) {
 }
 
 //diverselint:hotpath per-move pair-table update
-func (s *incrementalSelector) applied(m Move) {
+func (s *incrementalSelector) applied(m Move, slot int) {
 	// refine updated agg and the member lists before notifying us.
 	k, from, to := s.k, m.From, m.To
 	x := s.fzt[m.Pos]
 	s.raiseLim(to, x)
 	if s.arr != nil {
-		s.arr.moved(s.cur, s.fzt, m.Pos, from, to)
+		s.arr.moved(s.cur, s.fzt, m.Pos, from, to, slot)
 	}
 
 	// x joins to: fold its Δc at each anchor of row to into that
@@ -696,5 +712,9 @@ func (s *incrementalSelector) applied(m Move) {
 }
 
 func (s *incrementalSelector) stats() selStats {
-	return selStats{scans: s.scans, recomputed: s.recomputed, visited: s.visited}
+	st := selStats{scans: s.scans, recomputed: s.recomputed, visited: s.visited, rescanned: s.rescanned}
+	if s.arr != nil {
+		st.relayouts = s.arr.relayouts
+	}
+	return st
 }

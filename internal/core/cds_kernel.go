@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // kernelMinMean is the crossover of the AVX2 member scan: the fewest
 // members per group, on average (N/K), at which a refinement builds
@@ -52,17 +49,20 @@ func CDSKernel() string {
 }
 
 // memberArrays holds every group's members' f, z and 2·f·z in member
-// order (ascending position), so the kernel streams them with plain
-// vector loads instead of gathering cdsItems by position. The three
-// arrays are carved from one buffer; group g owns [off[g], off[g]+n)
-// of each, n its member count, and may grow to off[g]+room[g]. A group
-// that outgrows its room has every window laid out again, each with
-// slack spare slots, inside the same buffer: nothing is allocated after
+// order, the order of the group's position list, which a refinement's
+// moves leave unsorted, so the kernel streams them with plain vector
+// loads instead of gathering cdsItems by position. The three arrays
+// are carved from one buffer; group g owns [off[g], off[g]+n) of each,
+// n its member count, and may grow to off[g]+room[g]. A group that
+// outgrows its room has every window laid out again, each with slack
+// spare slots, inside the same buffer: nothing is allocated after
 // construction.
 type memberArrays struct {
 	f, z, t   []float64
 	off, room []int
 	slack     int
+	// relayouts counts the layouts after construction.
+	relayouts int64
 }
 
 func newMemberArrays(cur *Allocation, fzt []cdsItem) *memberArrays {
@@ -94,45 +94,79 @@ func (m *memberArrays) layout(cur *Allocation, fzt []cdsItem) {
 }
 
 // moved mirrors Allocation.move of pos from → to, which has already
-// updated the position lists: pos leaves from's window at the index it
-// held and enters to's at the index it now holds.
-func (m *memberArrays) moved(cur *Allocation, fzt []cdsItem, pos, from, to int) {
-	mt := cur.members[to]
-	if len(mt) > m.room[to] {
+// updated the position lists and returned slot, the index pos left in
+// from's list: from's last member moves into slot in the three arrays
+// as in the list, and pos's values are appended to to's window. O(1),
+// unless to outgrows its room.
+func (m *memberArrays) moved(cur *Allocation, fzt []cdsItem, pos, from, to, slot int) {
+	n := len(cur.members[to])
+	if n > m.room[to] {
+		m.relayouts++
 		m.layout(cur, fzt)
 		return
 	}
-	mf := cur.members[from]
-	o, n, i := m.off[from], len(mf), sort.SearchInts(mf, pos)
-	copy(m.f[o+i:o+n], m.f[o+i+1:o+n+1])
-	copy(m.z[o+i:o+n], m.z[o+i+1:o+n+1])
-	copy(m.t[o+i:o+n], m.t[o+i+1:o+n+1])
-	o, n, i = m.off[to], len(mt), sort.SearchInts(mt, pos)
-	copy(m.f[o+i+1:o+n], m.f[o+i:o+n-1])
-	copy(m.z[o+i+1:o+n], m.z[o+i:o+n-1])
-	copy(m.t[o+i+1:o+n], m.t[o+i:o+n-1])
+	o, last := m.off[from], m.off[from]+len(cur.members[from])
+	m.f[o+slot], m.z[o+slot], m.t[o+slot] = m.f[last], m.z[last], m.t[last]
+	o = m.off[to] + n - 1
 	x := fzt[pos]
-	m.f[o+i], m.z[o+i], m.t[o+i] = x.f, x.z, x.tfz
+	m.f[o], m.z[o], m.t[o] = x.f, x.z, x.tfz
 }
 
-// scan is refresh's member scan over group g's n members: the kernel
-// over the largest multiple of 8, then the scalar loop over the rest.
-// It returns the maximum Δc as an orderKey and the smallest member
-// index attaining it, (−Inf, −1) for an empty group. The tail keeps the
-// kernel's maximum unless strictly beaten, and its indexes are all
-// larger, so the first maximum wins as in refresh's loop.
-func (m *memberArrays) scan(g, n int, dz, df float64) (int64, int) {
-	o := m.off[g]
-	f, z, t := m.f[o:o+n], m.z[o:o+n], m.t[o:o+n]
-	best, at := orderKey(math.Inf(-1)), -1
-	n8 := n &^ 7
-	if n8 > 0 {
-		v, i := maxReductionAVX2(&f[0], &z[0], &t[0], n8, dz, df)
-		best, at = orderKey(v), i
+// scan is refresh's member scan over group g, whose position list is
+// members: the kernel over the largest multiple of 8 members, then
+// maxFirst over the rest. Like maxFirst it returns the maximum Δc as
+// an orderKey, a member's position attaining it, and whether any other
+// member may attain it too; when not, that member is the only one.
+func (m *memberArrays) scan(g int, members []int, fzt []cdsItem, dz, df float64) (best int64, at int32, tied bool) {
+	n8 := len(members) &^ 7
+	best, at, tied = maxFirst(members[n8:], fzt, dz, df)
+	if n8 == 0 {
+		return best, at, tied
 	}
-	for i := n8; i < n; i++ {
-		if key := orderKey(f[i]*dz + z[i]*df - t[i]); key > best {
-			best, at = key, i
+	o := m.off[g]
+	v, i, vTied := maxReductionAVX2(&m.f[o], &m.z[o], &m.t[o], n8, dz, df)
+	switch key := orderKey(v); {
+	case key > best:
+		return key, int32(members[i]), vTied
+	case key == best:
+		return best, at, true
+	}
+	return best, at, tied
+}
+
+// maxFirst evaluates the members' Δc at dz and df as MoveReduction does
+// (the aggregate differences and the 2·f·z term hoisted; same
+// expression, same bits) and returns the maximum as an orderKey, the
+// position of its first occurrence in list order, and tied: whether
+// the runner-up, the largest value met apart from that occurrence,
+// equals it (as it does, vacuously, for −Inf). The maxima run over
+// orderKeys, not floats: the compiler turns integer running maxima
+// into conditional moves, while a float one stays a branch that
+// mispredicts whenever list order correlates with Δc.
+func maxFirst(members []int, fzt []cdsItem, dz, df float64) (best int64, at int32, tied bool) {
+	best, next, at := orderKey(math.Inf(-1)), orderKey(math.Inf(-1)), int32(-1)
+	for _, pos := range members {
+		it := fzt[pos]
+		key := orderKey(it.f*dz + it.z*df - it.tfz)
+		next = max(next, min(key, best))
+		if key > best {
+			best, at = key, int32(pos)
+		}
+	}
+	return best, at, next == best
+}
+
+// maxByPosition is the members' maximum Δc at dz and df as an orderKey
+// and the smallest position attaining it, (−Inf, −1) when none exceeds
+// −Inf: the scan where the maximum is tied, so list order cannot
+// decide. A larger Δc, or an equal one at a smaller position, replaces
+// the running maximum.
+func maxByPosition(members []int, fzt []cdsItem, dz, df float64) (int64, int32) {
+	best, at := orderKey(math.Inf(-1)), int32(-1)
+	for _, pos := range members {
+		it := fzt[pos]
+		if key := orderKey(it.f*dz + it.z*df - it.tfz); key > best || key == best && int32(pos) < at {
+			best, at = key, int32(pos)
 		}
 	}
 	return best, at

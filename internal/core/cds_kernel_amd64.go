@@ -1,12 +1,14 @@
 package core
 
 // maxReductionAVX2 evaluates (f[i]·dz + z[i]·df) − tfz[i] for i in
-// [0, n), n a positive multiple of 8, and returns the largest value and
-// the smallest i attaining it. Each value has the bits the scalar Go
+// [0, n), n a positive multiple of 8, and returns the largest value,
+// an i attaining it, and tied: whether more than one i attains it (a
+// −Inf maximum and a NaN value also report tied). When tied is false,
+// idx is the only such i. Each value has the bits the scalar Go
 // expression gives: the same four operations, each rounded, no FMA.
 //
 //go:noescape
-func maxReductionAVX2(f, z, tfz *float64, n int, dz, df float64) (best float64, idx int)
+func maxReductionAVX2(f, z, tfz *float64, n int, dz, df float64) (best float64, idx int, tied bool)
 
 // passScanAVX2 compares dc[i] against t for i in [0, n), n a positive
 // multiple of 16, in blocks of 16. It returns the start of the first

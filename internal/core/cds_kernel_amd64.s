@@ -19,14 +19,20 @@ DATA laneIndex<>+48(SB)/8, $6
 DATA laneIndex<>+56(SB)/8, $7
 GLOBL laneIndex<>(SB), RODATA|NOPTR, $64
 
-// func maxReductionAVX2(f, z, tfz *float64, n int, dz, df float64) (best float64, idx int)
+// func maxReductionAVX2(f, z, tfz *float64, n int, dz, df float64) (best float64, idx int, tied bool)
 //
-// Accumulator A (Y2 values, Y4 indexes) takes elements 8i..8i+3 and
-// accumulator B (Y3, Y5) elements 8i+4..8i+7. A lane replaces its
-// value only on a strictly larger one, so it keeps the first index of
-// its maximum. The reduction takes the maximum over all eight lanes and
-// the smallest index among the lanes that hold it.
-TEXT ·maxReductionAVX2(SB), NOSPLIT, $0-64
+// Accumulator A (Y2 maxima, Y4 indexes, Y14 runners-up) takes elements
+// 8i..8i+3 and accumulator B (Y3, Y5, Y15) elements 8i+4..8i+7. A lane
+// replaces its maximum and index only on a strictly larger value, so
+// it keeps the first index of its maximum, and its runner-up is the
+// largest value it has met apart from one occurrence of its maximum:
+// equal to the maximum exactly when the maximum occurred in the lane
+// more than once, is the starting −Inf, or the lane met a NaN (which
+// neither replaces the maximum nor is below it). The reduction takes the
+// maximum over all eight lanes, the smallest index among the lanes
+// that hold it, and tied when one of those lanes' runner-up equals it
+// or more than one lane holds it.
+TEXT ·maxReductionAVX2(SB), NOSPLIT, $0-65
 	MOVQ f+0(FP), SI
 	MOVQ z+8(FP), DI
 	MOVQ tfz+16(FP), R8
@@ -35,6 +41,8 @@ TEXT ·maxReductionAVX2(SB), NOSPLIT, $0-64
 	VBROADCASTSD df+40(FP), Y1
 	VBROADCASTSD kernelConst<>+0(SB), Y2
 	VMOVAPD Y2, Y3
+	VMOVAPD Y2, Y14
+	VMOVAPD Y2, Y15
 	VMOVDQU laneIndex<>+0(SB), Y6
 	VMOVDQU laneIndex<>+32(SB), Y7
 	VMOVDQA Y6, Y4
@@ -56,11 +64,18 @@ loop:
 	VSUBPD  (R8)(AX*8), Y9, Y9
 	VSUBPD  32(R8)(AX*8), Y10, Y10
 
-	// Strictly greater (GT_OQ) replaces value and index.
+	// Strictly greater (GT_OQ) replaces the index. The runner-up takes
+	// min(value, maximum), then the maximum takes max(value, maximum);
+	// both return the old maximum on an equal value, so the maximum
+	// changes exactly where the index does.
 	VCMPPD    $0x1e, Y2, Y9, Y11
 	VCMPPD    $0x1e, Y3, Y10, Y12
-	VBLENDVPD Y11, Y9, Y2, Y2
-	VBLENDVPD Y12, Y10, Y3, Y3
+	VMINPD    Y2, Y9, Y13
+	VMAXPD    Y13, Y14, Y14
+	VMINPD    Y3, Y10, Y13
+	VMAXPD    Y13, Y15, Y15
+	VMAXPD    Y2, Y9, Y2
+	VMAXPD    Y3, Y10, Y3
 	VBLENDVPD Y11, Y6, Y4, Y4
 	VBLENDVPD Y12, Y7, Y5, Y5
 	VPADDQ    Y8, Y6, Y6
@@ -76,10 +91,26 @@ loop:
 	VPERMILPD  $0x05, Y9, Y10
 	VMAXPD     Y10, Y9, Y9
 
+	// Y11 and Y12 mark the lanes holding the maximum. tied: a lane's
+	// runner-up equals it (BX), or more than one lane holds it (DX has
+	// two bits set).
+	VCMPPD    $0x00, Y9, Y2, Y11
+	VCMPPD    $0x00, Y9, Y3, Y12
+	VCMPPD    $0x00, Y9, Y14, Y14
+	VCMPPD    $0x00, Y9, Y15, Y15
+	VORPD     Y14, Y15, Y14
+	VMOVMSKPD Y14, BX
+	VMOVMSKPD Y11, DX
+	VMOVMSKPD Y12, R9
+	SHLQ      $4, R9
+	ORQ       R9, DX
+	LEAQ      -1(DX), R10
+	ANDQ      R10, DX
+	ORQ       DX, BX
+	SETNE     tied+64(FP)
+
 	// Lanes below the maximum offer MaxInt64 as their index.
 	VPBROADCASTQ kernelConst<>+16(SB), Y13
-	VCMPPD       $0x00, Y9, Y2, Y11
-	VCMPPD       $0x00, Y9, Y3, Y12
 	VBLENDVPD    Y11, Y4, Y13, Y4
 	VBLENDVPD    Y12, Y5, Y13, Y5
 

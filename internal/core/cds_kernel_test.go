@@ -37,23 +37,37 @@ func setKernelFloor(floor int) (restore func()) {
 	return func() { kernelFloor, passFloor = oldMember, oldPass }
 }
 
-// loopScan is refresh's scalar loop over the members of group g, the
-// reference the kernel must reproduce: the maximum as an orderKey and
-// the member index (not position) of its first occurrence.
-func loopScan(cur *Allocation, fzt []cdsItem, g int, dz, df float64) (int64, int) {
-	best, at := orderKey(math.Inf(-1)), -1
-	for i, pos := range cur.ChannelPositions(g) {
+// loopScan is the reference the member scan must reproduce: the scalar
+// loop over a group's members in ascending position, where only a
+// strictly larger Δc displaces the running maximum. It returns the
+// maximum as an orderKey and the smallest position attaining it,
+// (−Inf, −1) for an empty group.
+func loopScan(members []int, fzt []cdsItem, dz, df float64) (int64, int32) {
+	best, at := orderKey(math.Inf(-1)), int32(-1)
+	for _, pos := range slices.Sorted(slices.Values(members)) {
 		it := fzt[pos]
 		if key := orderKey(it.f*dz + it.z*df - it.tfz); key > best {
-			best, at = key, i
+			best, at = key, int32(pos)
 		}
 	}
 	return best, at
 }
 
-// checkMemberArrays fails unless every group's window holds its
-// members' f, z and 2·f·z in member order, inside its room, and no two
-// windows overlap.
+// scramble shuffles every group's position list and the slot index
+// with it, as a refinement's moves leave them.
+func scramble(rng *rand.Rand, cur *Allocation) {
+	for _, m := range cur.members {
+		rng.Shuffle(len(m), func(i, j int) { m[i], m[j] = m[j], m[i] })
+		for i, pos := range m {
+			cur.slot[pos] = int32(i)
+		}
+	}
+}
+
+// checkMemberArrays fails unless every group's window lies inside its
+// room, no two windows overlap, and every item's f, z and 2·f·z sit in
+// its group's window at the slot the slot index gives it, the slot
+// that holds it in the group's position list.
 func checkMemberArrays(t *testing.T, what string, m *memberArrays, cur *Allocation, fzt []cdsItem) {
 	t.Helper()
 	end := 0
@@ -64,20 +78,72 @@ func checkMemberArrays(t *testing.T, what string, m *memberArrays, cur *Allocati
 				what, g, o, o, m.room[g], len(members), end, len(m.f))
 		}
 		end = o + m.room[g]
-		for i, pos := range members {
-			if x := fzt[pos]; m.f[o+i] != x.f || m.z[o+i] != x.z || m.t[o+i] != x.tfz {
-				t.Fatalf("%s: group %d member %d (position %d) holds (%v, %v, %v), want %+v",
-					what, g, i, pos, m.f[o+i], m.z[o+i], m.t[o+i], x)
-			}
+	}
+	for pos, g := range cur.channel {
+		i := int(cur.slot[pos])
+		if members := cur.members[g]; i >= len(members) || members[i] != pos {
+			t.Fatalf("%s: position %d indexed at slot %d of group %d, which lists %v", what, pos, i, g, members)
+		}
+		o := m.off[g] + i
+		if x := fzt[pos]; m.f[o] != x.f || m.z[o] != x.z || m.t[o] != x.tfz {
+			t.Fatalf("%s: group %d slot %d (position %d) holds (%v, %v, %v), want %+v",
+				what, g, i, pos, m.f[o], m.z[o], m.t[o], x)
 		}
 	}
 }
 
+// checkScan fails unless group g's member scan, through the kernel
+// and through maxFirst, reports a tie exactly when the loop's maximum
+// occurs more than once and, when it does not, names that member; and
+// unless refresh's scan, with its position-comparing second scan on a
+// tie, gives the loop's maximum to the bit and its smallest position.
+func checkScan(t *testing.T, what string, m *memberArrays, cur *Allocation, fzt []cdsItem, g int, dz, df float64) {
+	t.Helper()
+	members := cur.ChannelPositions(g)
+	wantKey, wantPos := loopScan(members, fzt, dz, df)
+	count := 0
+	for _, pos := range members {
+		if it := fzt[pos]; orderKey(it.f*dz+it.z*df-it.tfz) == wantKey {
+			count++
+		}
+	}
+	for _, scan := range []struct {
+		name string
+		run  func() (int64, int32, bool)
+	}{
+		{"kernel", func() (int64, int32, bool) { return m.scan(g, members, fzt, dz, df) }},
+		{"loop", func() (int64, int32, bool) { return maxFirst(members, fzt, dz, df) }},
+	} {
+		key, pos, tied := scan.run()
+		if key != wantKey || tied != (count != 1) || !tied && pos != wantPos {
+			t.Fatalf("%s: %s scan of group %d (%d members), dz=%v df=%v: (%v, %d, tied %v); maximum %v at %d, met %d times",
+				what, scan.name, g, len(members), dz, df, keyFloat(key), pos, tied, keyFloat(wantKey), wantPos, count)
+		}
+		if tied {
+			key, pos = maxByPosition(members, fzt, dz, df)
+		}
+		if key != wantKey || pos != wantPos {
+			t.Fatalf("%s: %s scan of group %d (%d members), dz=%v df=%v: (%v, %d) after the tie scan, loop (%v, %d)",
+				what, scan.name, g, len(members), dz, df, keyFloat(key), pos, keyFloat(wantKey), wantPos)
+		}
+	}
+}
+
+// cdsItems is the selector's per-position item constants for db.
+func cdsItems(db *Database) []cdsItem {
+	fzt := make([]cdsItem, db.Len())
+	for i, it := range db.items {
+		fzt[i] = cdsItem{f: it.Freq, z: it.Size, tfz: 2 * it.Freq * it.Size}
+	}
+	return fzt
+}
+
 // TestMemberScanMatchesLoop is the kernel-versus-loop differential:
 // group lengths 0–67 (so every tail length 0–7 meets kernel lengths
-// 0–64) on diverse, tie-heavy and extreme-magnitude databases, with
-// dz and df of both signs, must give the loop's maximum to the bit and
-// its first member index.
+// 0–64), in scrambled member order, on diverse, tie-heavy and
+// extreme-magnitude databases, with dz and df of both signs, must give
+// the loop's maximum to the bit and its smallest position (checkScan).
+// On the tie-heavy database ties must occur.
 func TestMemberScanMatchesLoop(t *testing.T) {
 	if !haveAVX2() {
 		t.Skip("no AVX2 on this host")
@@ -92,11 +158,9 @@ func TestMemberScanMatchesLoop(t *testing.T) {
 		{"extreme", extremeDatabase(t, 3, n)},
 	}
 	for _, tc := range dbs {
-		fzt := make([]cdsItem, n)
-		for i, it := range tc.db.items {
-			fzt[i] = cdsItem{f: it.Freq, z: it.Size, tfz: 2 * it.Freq * it.Size}
-		}
+		fzt := cdsItems(tc.db)
 		rng := rand.New(rand.NewSource(7))
+		ties := 0
 		for length := 0; length <= 67; length++ {
 			// Group 0 takes a random length-member subset, group 1 the rest.
 			channel := make([]int, n)
@@ -110,6 +174,7 @@ func TestMemberScanMatchesLoop(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			scramble(rng, cur)
 			m := newMemberArrays(cur, fzt)
 			checkMemberArrays(t, tc.name, m, cur, fzt)
 			agg := cur.Aggregates()
@@ -120,21 +185,99 @@ func TestMemberScanMatchesLoop(t *testing.T) {
 			}
 			for _, sign := range [][2]float64{{1, 1}, {1, -1}, {-1, 1}, {-1, -1}} {
 				sz, sf := sign[0]*dz, sign[1]*df
-				gotKey, gotAt := m.scan(0, length, sz, sf)
-				wantKey, wantAt := loopScan(cur, fzt, 0, sz, sf)
-				if gotKey != wantKey || gotAt != wantAt {
-					t.Fatalf("%s length %d dz=%v df=%v: kernel (%v, %d), loop (%v, %d)",
-						tc.name, length, sz, sf, keyFloat(gotKey), gotAt, keyFloat(wantKey), wantAt)
+				checkScan(t, fmt.Sprintf("%s length %d", tc.name, length), m, cur, fzt, 0, sz, sf)
+				if _, _, tied := m.scan(0, cur.members[0], fzt, sz, sf); tied && length > 0 {
+					ties++
 				}
 			}
+		}
+		if tc.name == "ties" && ties == 0 {
+			t.Fatal("ties: no scan met a tied maximum")
 		}
 	}
 }
 
+// TestMemberScanTieAnywhere places a group's maximum on exactly two of
+// its 27 members, every pair of them in turn: in one kernel lane, in
+// two lanes, in the lanes and the scalar tail, or in the tail alone.
+// checkScan must pass on each, so every such tie is reported.
+func TestMemberScanTieAnywhere(t *testing.T) {
+	if !haveAVX2() {
+		t.Skip("no AVX2 on this host")
+	}
+	const n = 27
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			// With dz = 0 and df = 1 a member's Δc is −z: the two
+			// members of size 0.5 share the maximum.
+			items := make([]Item, n+2)
+			for i := range items {
+				items[i] = Item{ID: i + 1, Freq: 1, Size: 1 + float64(i)/64}
+			}
+			items[a].Size, items[b].Size = 0.5, 0.5
+			channel := make([]int, n+2)
+			channel[n], channel[n+1] = 1, 1
+			db := MustNewDatabase(items)
+			cur, err := NewAllocation(db, 2, channel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fzt := cdsItems(db)
+			checkScan(t, fmt.Sprintf("maximum at %d and %d", a, b), newMemberArrays(cur, fzt), cur, fzt, 0, 0, 1)
+		}
+	}
+}
+
+// FuzzMemberScan fuzzes the same property: rawN picks a window of 0–70
+// members, seed the permutation of positions its list holds, and each
+// byte of pairs one member's (f, z) from a palette of eight values
+// each, so members often share a pair; dz and df are quarters of small
+// integers of either sign, so equal maxima are common. checkScan must
+// pass.
+func FuzzMemberScan(f *testing.F) {
+	f.Add(int64(1), uint8(16), []byte{0, 0, 9, 9, 0, 0, 9, 9}, int8(1), int8(1))
+	f.Add(int64(2), uint8(70), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, int8(-3), int8(2))
+	f.Add(int64(3), uint8(9), []byte{0x3f}, int8(0), int8(-1))
+	f.Add(int64(4), uint8(40), []byte{}, int8(5), int8(-5))
+	f.Fuzz(func(t *testing.T, seed int64, rawN uint8, pairs []byte, dz, df int8) {
+		if !haveAVX2() {
+			t.Skip("no AVX2 on this host")
+		}
+		palette := [8]float64{1, 2, 3, 0.5, 0.25, 1e-3, 1e3, 7}
+		n := int(rawN) % 71
+		items := make([]Item, n+2)
+		for i := range items {
+			b := byte(i)
+			if len(pairs) > 0 {
+				b = pairs[i%len(pairs)]
+			}
+			items[i] = Item{ID: i + 1, Freq: palette[b&7], Size: palette[b>>3&7]}
+		}
+		db := MustNewDatabase(items)
+		// Group 0 holds n of the n+2 positions in a seeded order.
+		perm := rand.New(rand.NewSource(seed)).Perm(n + 2)
+		channel := make([]int, n+2)
+		channel[perm[n]], channel[perm[n+1]] = 1, 1
+		cur, err := NewAllocation(db, 2, channel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur.members[0] = perm[:n]
+		for i, pos := range perm[:n] {
+			cur.slot[pos] = int32(i)
+		}
+		fzt := cdsItems(db)
+		m := newMemberArrays(cur, fzt)
+		checkMemberArrays(t, "fuzz", m, cur, fzt)
+		checkScan(t, "fuzz", m, cur, fzt, 0, float64(dz)/4, float64(df)/4)
+	})
+}
+
 // TestMemberArraysFollowMoves moves every item into group 0, which
 // outgrows its room and has every window laid out again several times,
-// then walks random moves, and checks the arrays against the position
-// lists after each move.
+// then walks random moves. After each move it checks the arrays through
+// the slot index against the position lists, which the moves leave
+// scrambled, and the scans of both touched groups against the loop.
 func TestMemberArraysFollowMoves(t *testing.T) {
 	if !haveAVX2() {
 		t.Skip("no AVX2 on this host")
@@ -148,14 +291,12 @@ func TestMemberArraysFollowMoves(t *testing.T) {
 		t.Fatal("kernel forced but no member arrays built")
 	}
 	rng := rand.New(rand.NewSource(5))
-	relayouts := 0
 	move := func(what string, m Move) {
-		room := sel.arr.room[m.To]
 		applyMove(cur, agg, sel, m)
-		if sel.arr.room[m.To] != room {
-			relayouts++
-		}
 		checkMemberArrays(t, what, sel.arr, cur, sel.fzt)
+		for _, g := range []int{m.From, m.To} {
+			checkScan(t, what, sel.arr, cur, sel.fzt, g, agg[g].Z-agg[(g+1)%5].Z, agg[g].F-agg[(g+1)%5].F)
+		}
 	}
 	for pos := 0; pos < db.Len(); pos++ {
 		if from := cur.ChannelOf(pos); from != 0 {
@@ -165,8 +306,11 @@ func TestMemberArraysFollowMoves(t *testing.T) {
 	for step := 0; step < 300; step++ {
 		move(fmt.Sprintf("walk %d", step), randomMove(rng, cur))
 	}
-	if relayouts < 2 {
-		t.Fatalf("the windows were laid out again %d times, want at least 2", relayouts)
+	if sel.arr.relayouts < 2 {
+		t.Fatalf("the windows were laid out again %d times, want at least 2", sel.arr.relayouts)
+	}
+	if slices.IsSorted(cur.ChannelPositions(0)) && slices.IsSorted(cur.ChannelPositions(1)) {
+		t.Fatal("the moves left groups 0 and 1 in ascending order; the windows were not scrambled")
 	}
 }
 
@@ -344,6 +488,8 @@ func TestPassCellsSameWithAndWithoutKernel(t *testing.T) {
 			if !slices.Equal(goMoves, kMoves) {
 				t.Fatalf("K=%d %s: the kernels change the moves (%d against %d)", k, start.name, len(kMoves), len(goMoves))
 			}
+			// Only the member kernel lays windows out or rescans ties.
+			kStats.rescanned, kStats.relayouts = 0, 0
 			if goStats != kStats || goStats.visited == 0 {
 				t.Fatalf("K=%d %s: counters with the kernels %+v, without %+v", k, start.name, kStats, goStats)
 			}
@@ -360,7 +506,11 @@ func TestPassCellsSameWithAndWithoutKernel(t *testing.T) {
 // exact cell scans (the table build included) and hand pick's passes
 // the same number of cells, with both kernels off and with both
 // forced. The counts are the same on every host, so a change in the
-// engine's work shows here whatever the machine.
+// engine's work shows here whatever the machine. With the member
+// kernel the windows are laid out again a pinned number of times. No
+// cell scan's maximum is tied on this catalog, so no member is scanned
+// twice, while a full refinement of a tie-heavy catalog (N=2000, K=8)
+// must rescan some.
 //
 // Before the cells' bounds were anchored at their last exact scan (each
 // touched bound raised by every move's aggregate rise, a fall never
@@ -373,9 +523,10 @@ func TestCDSWorkCounts(t *testing.T) {
 	for _, want := range []struct {
 		k, moves            int
 		recomputed, visited int64
+		relayouts           int64 // with the member kernel
 	}{
-		{8, 2604, 10130869, 16909},
-		{64, 6735, 14401261, 189063},
+		{8, 2604, 10130869, 16909, 2},
+		{64, 6735, 14401261, 189063, 8},
 	} {
 		drp, err := NewDRP().Allocate(db, want.k)
 		if err != nil {
@@ -384,11 +535,30 @@ func TestCDSWorkCounts(t *testing.T) {
 		t.Run(fmt.Sprintf("K=%d", want.k), func(t *testing.T) {
 			withKernel(t, func(t *testing.T) {
 				moves, st := selectorRun(t, drp, passFloor != noKernel)
-				if len(moves) != want.moves || st.recomputed != want.recomputed || st.visited != want.visited {
-					t.Errorf("%d moves, %d members scanned, %d pass cells; want %d, %d, %d",
-						len(moves), st.recomputed, st.visited, want.moves, want.recomputed, want.visited)
+				relayouts := want.relayouts
+				if kernelFloor == noKernel {
+					relayouts = 0
+				}
+				if len(moves) != want.moves || st.recomputed != want.recomputed || st.visited != want.visited ||
+					st.rescanned != 0 || st.relayouts != relayouts {
+					t.Errorf("%d moves, %d members scanned, %d pass cells, %d rescanned, %d relayouts; want %d, %d, %d, 0, %d",
+						len(moves), st.recomputed, st.visited, st.rescanned, st.relayouts,
+						want.moves, want.recomputed, want.visited, relayouts)
 				}
 			})
 		})
 	}
+	ties, err := NewDRP().Allocate(tieDatabase(t, 1, 2000), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("ties", func(t *testing.T) {
+		withKernel(t, func(t *testing.T) {
+			moves, st := selectorRun(t, ties, passFloor != noKernel)
+			if st.rescanned == 0 {
+				t.Errorf("no member rescanned over %d moves", len(moves))
+			}
+			t.Logf("%d moves, %d members scanned, %d rescanned", len(moves), st.recomputed, st.rescanned)
+		})
+	})
 }

@@ -88,7 +88,8 @@ func assertIdenticalTraces(t *testing.T, a *Allocation, maxMoves int) {
 
 // assertMatchesNaive refines a with the incremental default and fails
 // the test on the first bit-level difference from the naive oracle's
-// refinement refN and its trace movesN.
+// refinement refN and its trace movesN, or unless the refined
+// allocation passes Validate.
 func assertMatchesNaive(t *testing.T, a *Allocation, maxMoves int, refN *Allocation, movesN []Move) {
 	t.Helper()
 	eng := &CDS{MaxMoves: maxMoves}
@@ -115,6 +116,11 @@ func assertMatchesNaive(t *testing.T, a *Allocation, maxMoves int, refN *Allocat
 	}
 	if !refN.Equal(refE) {
 		t.Fatalf("%v: refined allocations differ despite identical traces", eng.Strategy)
+	}
+	// The moves leave the position lists in any order; Refine must
+	// hand them back ascending, as Validate requires.
+	if err := refE.Validate(); err != nil {
+		t.Fatalf("%v: refined allocation: %v", eng.Strategy, err)
 	}
 }
 
@@ -264,7 +270,8 @@ func TestCDSFullRefinementsMatchNaive(t *testing.T) {
 
 // checkSelectorTable cross-checks the lazy-bound table against a fresh
 // full scan: every fresh cell (p, q) must hold the bit-exact maximum Δc
-// of D_p toward D_q and the smallest position attaining it, every stale
+// of D_p toward D_q and the smallest position attaining it (the moves
+// leave D_p's list in any order, so the scan compares positions), every stale
 // cell a bound no smaller than that maximum, and every diagonal cell
 // (−Inf, −1). It returns how many fresh and stale cells it checked.
 func checkSelectorTable(t *testing.T, what string, sel *incrementalSelector, cur *Allocation, agg []GroupAgg) (fresh, stale int) {
@@ -275,7 +282,7 @@ func checkSelectorTable(t *testing.T, what string, sel *incrementalSelector, cur
 			wantDC, wantPos := math.Inf(-1), -1
 			if p != q {
 				for _, pos := range cur.ChannelPositions(p) {
-					if dc := MoveReduction(cur.Database().Item(pos), agg[p], agg[q]); dc > wantDC {
+					if dc := MoveReduction(cur.Database().Item(pos), agg[p], agg[q]); dc > wantDC || dc == wantDC && pos < wantPos {
 						wantDC, wantPos = dc, pos
 					}
 				}
@@ -308,9 +315,9 @@ func checkSelectorTable(t *testing.T, what string, sel *incrementalSelector, cur
 // the two touched groups' exact sums), read their aggregates, notify
 // the selector.
 func applyMove(cur *Allocation, agg []GroupAgg, sel moveSelector, m Move) {
-	cur.move(m.Pos, m.To)
+	slot := cur.move(m.Pos, m.To)
 	agg[m.From], agg[m.To] = cur.groupAgg(m.From), cur.groupAgg(m.To)
-	sel.applied(m)
+	sel.applied(m, slot)
 }
 
 // randomMove draws a move of a random item to a random other group.

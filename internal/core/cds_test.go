@@ -251,14 +251,15 @@ func (s *stuckSelector) next() (Move, bool) {
 	return Move{Pos: 0, From: from, To: (from + 1) % s.cur.K(), Reduction: 1}, true
 }
 
-func (*stuckSelector) applied(Move) {}
+func (*stuckSelector) applied(Move, int) {}
 
 func (s *stuckSelector) stats() selStats { return selStats{} }
 
 // TestCDSFailsClosedOnNoProgress: from a local optimum every move
 // raises the cost, so a selector that claims otherwise must end the
 // refinement with ErrNoProgress after one applied move, on both the
-// plain and the traced path, instead of applying moves forever.
+// plain and the traced path, instead of applying moves forever, and
+// count it once in core_cds_no_progress_total.
 func TestCDSFailsClosedOnNoProgress(t *testing.T) {
 	opt, err := NewDRPCDS().Allocate(PaperExampleDatabase(), PaperExampleK)
 	if err != nil {
@@ -267,11 +268,15 @@ func TestCDSFailsClosedOnNoProgress(t *testing.T) {
 	for _, wantTrace := range []bool{false, true} {
 		tr := trace.New(trace.Config{Capacity: 64, Clock: &trace.ManualClock{}})
 		c := &CDS{Tracer: tr}
+		before := cdsNoProgress.Value()
 		out, moves, err := c.refine(opt, wantTrace, func(cur *Allocation, _ []GroupAgg) moveSelector {
 			return &stuckSelector{cur: cur}
 		})
 		if !errors.Is(err, ErrNoProgress) {
 			t.Fatalf("wantTrace=%v: err = %v, want ErrNoProgress", wantTrace, err)
+		}
+		if d := cdsNoProgress.Value() - before; d != 1 {
+			t.Errorf("wantTrace=%v: core_cds_no_progress_total rose by %d, want 1", wantTrace, d)
 		}
 		if out != nil || moves != nil {
 			t.Errorf("wantTrace=%v: got allocation %v and %d moves with the error", wantTrace, out, len(moves))

@@ -24,6 +24,8 @@ var (
 		"Eq. 4 evaluations of the incremental CDS strategy's exact cell scans: every item toward every other group at table build, then one per member of each refreshed cell's source group")
 	cdsPassCells = obs.Default().Counter("core_cds_pass_cells_total",
 		"pair-table cells the incremental CDS strategy's per-move pass hands to its fresh/stale test: those reaching the running best")
+	cdsNoProgress = obs.Default().Counter("core_cds_no_progress_total",
+		"CDS refinements ended with ErrNoProgress: an applied move did not lower the exact cost")
 )
 
 // timeNow is stubbed in tests.
